@@ -35,6 +35,7 @@ import hashlib
 import json
 import os
 import pickle
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -52,6 +53,11 @@ _KIND_CODECS = {
     "selection": "pickle",
     "codegen": "json",
 }
+
+#: The process umask, read once at import (reading it means setting it,
+#: which would race with other threads creating files).
+_UMASK = os.umask(0)
+os.umask(_UMASK)
 
 _DISABLED_VALUES = {"", "0", "off", "none", "disabled"}
 
@@ -282,20 +288,28 @@ class ArtifactCache:
     def store(self, kind: str, key: str, payload) -> None:
         """Atomically persist ``payload`` under ``key``.
 
-        Writes to a per-process temporary name then ``os.replace``s it
-        into place, so concurrent sweep workers racing on the same key
-        each leave a complete file and the last writer wins (they wrote
-        identical bytes anyway — the key is content-addressed).
+        Writes to a private temporary file in the target directory then
+        ``os.replace``s it into place, so concurrent writers racing on
+        the same key (sweep worker processes, ``repro serve``'s thread
+        pool) each leave a complete file and the last writer wins (they
+        wrote identical bytes anyway — the key is content-addressed).
         """
         target = self.path(kind, key)
         target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_suffix(f".{os.getpid()}.tmp")
+        fd, tmp_name = tempfile.mkstemp(
+            dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
+        )
+        tmp = Path(tmp_name)
         try:
-            if _KIND_CODECS[kind] == "pickle":
-                with tmp.open("wb") as handle:
+            with os.fdopen(fd, "wb") as handle:
+                # mkstemp creates the file 0600; give artifacts the mode
+                # a plain open() would, so a store shared between users
+                # stays readable by them.
+                os.fchmod(fd, 0o666 & ~_UMASK)
+                if _KIND_CODECS[kind] == "pickle":
                     pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            else:
-                tmp.write_text(json.dumps(payload))
+                else:
+                    handle.write(json.dumps(payload).encode())
             os.replace(tmp, target)
         finally:
             if tmp.exists():

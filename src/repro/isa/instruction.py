@@ -8,10 +8,10 @@ interface the slicer and both simulators share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Tuple, Union
 
-from repro.isa.opcodes import Format, Opcode, OpInfo, opinfo
+from repro.isa.opcodes import OPINFO, Format, Opcode, OpInfo, opinfo
 from repro.isa.registers import register_name
 
 #: A branch/jump target: a label before linking, a PC after.
@@ -30,6 +30,12 @@ class Instruction:
         imm: immediate operand (memory displacement for loads/stores).
         target: control-flow target (label name or resolved PC).
         pc: program counter, assigned by :class:`Program`; -1 if unplaced.
+
+    The opcode-derived facts (the ``is_load`` ... ``is_halt`` flags and
+    the answers of ``sources()`` / ``dest()``) are resolved once, at
+    construction and on unpickling, and stored on the instance: the
+    p-thread dataflow scan and optimizer query them millions of times.
+    They are not pickled; the pickled state is exactly the fields.
     """
 
     op: Opcode
@@ -40,54 +46,28 @@ class Instruction:
     target: Optional[Target] = None
     pc: int = field(default=-1, compare=False)
 
+    def __post_init__(self) -> None:
+        _resolve_facts(self)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        return {name: state[name] for name in _FIELDS}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        _resolve_facts(self)
+
     @property
     def info(self) -> OpInfo:
         return opinfo(self.op)
 
-    @property
-    def is_load(self) -> bool:
-        return self.info.is_load
-
-    @property
-    def is_store(self) -> bool:
-        return self.info.is_store
-
-    @property
-    def is_mem(self) -> bool:
-        return self.info.is_mem
-
-    @property
-    def is_branch(self) -> bool:
-        return self.info.is_branch
-
-    @property
-    def is_jump(self) -> bool:
-        return self.info.is_jump
-
-    @property
-    def is_control(self) -> bool:
-        return self.info.is_control
-
-    @property
-    def is_halt(self) -> bool:
-        return self.op is Opcode.HALT
-
     def sources(self) -> Tuple[int, ...]:
         """Register indices this instruction reads (in operand order)."""
-        fmt = self.info.fmt
-        if fmt is Format.R or fmt is Format.BRANCH:
-            return (self.rs1, self.rs2)  # type: ignore[return-value]
-        if fmt in (Format.I, Format.LOAD, Format.JR):
-            return (self.rs1,)  # type: ignore[return-value]
-        if fmt is Format.STORE:
-            return (self.rs1, self.rs2)  # type: ignore[return-value]
-        return ()
+        return self._sources
 
     def dest(self) -> Optional[int]:
         """Register index this instruction writes, or ``None``."""
-        if self.info.writes_register:
-            return self.rd
-        return None
+        return self._dest
 
     def with_pc(self, pc: int) -> "Instruction":
         """Return a copy of this instruction placed at ``pc``."""
@@ -118,6 +98,42 @@ class Instruction:
 
     def __str__(self) -> str:
         return format_instruction(self)
+
+
+#: The dataclass fields of :class:`Instruction`, i.e. its pickled state.
+_FIELDS = tuple(f.name for f in fields(Instruction))
+
+#: The boolean opcode facts stored on every instruction.
+_FLAGS = ("is_load", "is_store", "is_mem", "is_branch", "is_jump", "is_control")
+
+#: How many of (rs1, rs2) ``sources()`` reads, per format.
+_NUM_SOURCES = {
+    Format.R: 2,
+    Format.BRANCH: 2,
+    Format.STORE: 2,
+    Format.I: 1,
+    Format.LOAD: 1,
+    Format.JR: 1,
+}
+
+#: Per opcode: its flags, its number of sources, and whether it writes rd.
+_OPCODE_FACTS = {
+    op: (
+        dict({name: getattr(info, name) for name in _FLAGS}, is_halt=op is Opcode.HALT),
+        _NUM_SOURCES.get(info.fmt, 0),
+        info.writes_register,
+    )
+    for op, info in OPINFO.items()
+}
+
+
+def _resolve_facts(inst: Instruction) -> None:
+    """Store ``inst``'s opcode-derived facts on the instance."""
+    flags, num_sources, writes_register = _OPCODE_FACTS[inst.op]
+    state = inst.__dict__
+    state.update(flags)
+    state["_sources"] = (inst.rs1, inst.rs2)[:num_sources]
+    state["_dest"] = inst.rd if writes_register else None
 
 
 def format_instruction(inst: Instruction, *, abi: bool = False) -> str:

@@ -25,10 +25,6 @@ from repro.isa.registers import NUM_REGS
 #: First register index reserved for merger-introduced virtual registers.
 VIRTUAL_REG_BASE = NUM_REGS
 
-#: Sentinel base key for an unknown (non-static) store address base.
-_UNKNOWN = ("unknown",)
-
-
 @dataclass(frozen=True)
 class BodyDataflow:
     """Dataflow facts of a body, produced by :func:`analyze_dataflow`.
@@ -57,49 +53,48 @@ class BodyDataflow:
         return tuple(sorted(set(deps) | {mem}))
 
 
-def _base_key(
-    base_reg: int, last_def: Dict[int, int], position_salt: int = 0
-) -> Tuple:
-    """Key identifying a memory base: producing position or live-in reg."""
-    if base_reg in last_def:
-        return ("def", last_def[base_reg])
-    return ("livein", base_reg)
-
-
 def analyze_dataflow(instructions: Sequence[Instruction]) -> BodyDataflow:
     """Linear-scan dataflow analysis of a straight-line body."""
     last_def: Dict[int, int] = {}
     live_ins: List[int] = []
-    seen_live_ins = set()
     reg_deps: List[Tuple[int, ...]] = []
     mem_deps: List[Optional[int]] = []
     defs: List[Optional[int]] = []
-    # (base_key, offset) -> store position
+    # (base, offset) -> store position, where base is the producing
+    # position of the base register or ("livein", register).
     stores: Dict[Tuple, int] = {}
 
     for position, inst in enumerate(instructions):
-        deps = []
+        # Producer positions, sorted and unique (at most two sources).
+        deps: Tuple[int, ...] = ()
         for src in inst.sources():
             if src == 0:
                 continue  # r0 reads are constant zero
-            if src in last_def:
-                deps.append(last_def[src])
-            elif src not in seen_live_ins:
-                seen_live_ins.add(src)
-                live_ins.append(src)
-        reg_deps.append(tuple(sorted(set(deps))))
+            producer = last_def.get(src)
+            if producer is None:
+                if src not in live_ins:
+                    live_ins.append(src)
+            elif not deps:
+                deps = (producer,)
+            elif deps[0] < producer:
+                deps = (deps[0], producer)
+            elif deps[0] > producer:
+                deps = (producer, deps[0])
+        reg_deps.append(deps)
 
         mem_dep: Optional[int] = None
-        if inst.is_load:
-            key = (_base_key(inst.rs1, last_def), inst.imm)
-            mem_dep = stores.get(key)
-        elif inst.is_store:
-            key = (_base_key(inst.rs1, last_def), inst.imm)
-            stores[key] = position
+        if inst.is_mem:
+            base_reg = inst.rs1
+            base = last_def.get(base_reg)
+            key = (("livein", base_reg) if base is None else base, inst.imm)
+            if inst.is_load:
+                mem_dep = stores.get(key)
+            else:
+                stores[key] = position
         mem_deps.append(mem_dep)
 
         dest = inst.dest()
-        if dest is not None and dest != 0:
+        if dest:
             last_def[dest] = position
             defs.append(dest)
         else:

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
-from repro.pthreads.body import PThreadBody, analyze_dataflow
+from repro.pthreads.body import BodyDataflow, PThreadBody, analyze_dataflow
 
 #: Opcodes that are pure immediate additions (foldable chains).
 _ADDITIVE = (Opcode.ADDI,)
@@ -83,22 +83,18 @@ def eliminate_moves(
     rewritten = 0
     out: List[Instruction] = []
     for inst in instructions:
-        changed = {}
-        for field_name in ("rs1", "rs2"):
-            src = getattr(inst, field_name)
-            if src is not None and src in copies:
-                changed[field_name] = copies[src]
-        if changed:
+        if copies and (inst.rs1 in copies or inst.rs2 in copies):
             inst = inst.renamed(
-                rs1=changed.get("rs1"), rs2=changed.get("rs2")
+                rs1=copies.get(inst.rs1), rs2=copies.get(inst.rs2)
             )
             rewritten += 1
         dest = inst.dest()
-        if dest is not None and dest != 0:
+        if dest:
             # Any copy *of* dest or *through* dest is invalidated.
-            copies.pop(dest, None)
-            for key in [k for k, v in copies.items() if v == dest]:
-                copies.pop(key)
+            if copies:
+                copies.pop(dest, None)
+                for key in [k for k, v in copies.items() if v == dest]:
+                    copies.pop(key)
             if inst.op is Opcode.MOV and inst.rs1 not in (None, dest):
                 copies[dest] = inst.rs1
         out.append(inst)
@@ -107,36 +103,30 @@ def eliminate_moves(
 
 def eliminate_store_load_pairs(
     instructions: List[Instruction],
+    dataflow: Optional[BodyDataflow] = None,
 ) -> Tuple[List[Instruction], int]:
     """Replace loads forwarded from body stores with register moves.
 
     A load is rewritten when (a) static dataflow matches it to an
     earlier store at the same base definition + displacement, and
     (b) the stored value's register still holds that value at the load.
+    ``dataflow`` is ``analyze_dataflow(instructions)`` if the caller has
+    it.
     """
-    dataflow = analyze_dataflow(instructions)
-    last_def_at: List[Dict[int, int]] = []
-    last_def: Dict[int, int] = {}
-    for position, inst in enumerate(instructions):
-        last_def_at.append(dict(last_def))
-        dest = inst.dest()
-        if dest is not None and dest != 0:
-            last_def[dest] = position
+    if dataflow is None:
+        dataflow = analyze_dataflow(instructions)
     eliminated = 0
     out = list(instructions)
-    for position, inst in enumerate(instructions):
-        store_pos = dataflow.mem_deps[position]
-        if store_pos is None or not inst.is_load:
+    for position, store_pos in enumerate(dataflow.mem_deps):
+        if store_pos is None:
             continue
-        store = instructions[store_pos]
-        value_reg = store.rs2
+        inst = instructions[position]
+        value_reg = instructions[store_pos].rs2
         if value_reg is None:
             continue
         # The value register must not have been redefined between the
         # store and the load.
-        def_at_store = last_def_at[store_pos].get(value_reg)
-        def_at_load = last_def_at[position].get(value_reg)
-        if def_at_store != def_at_load:
+        if value_reg in dataflow.defs[store_pos:position]:
             continue
         out[position] = Instruction(
             Opcode.MOV, rd=inst.rd, rs1=value_reg, pc=inst.pc
@@ -148,6 +138,7 @@ def eliminate_store_load_pairs(
 def fold_constants(
     instructions: List[Instruction],
     protected: Optional[Set[int]] = None,
+    dataflow: Optional[BodyDataflow] = None,
 ) -> Tuple[List[Instruction], int, Optional[int]]:
     """Collapse one immediate-add chain link (induction-unrolling idiom).
 
@@ -162,6 +153,8 @@ def fold_constants(
     Args:
         protected: positions that must not be deleted (optimization
             targets).
+        dataflow: ``analyze_dataflow(instructions)`` if the caller has
+            it.
 
     Returns:
         ``(instructions, links_folded, deleted_position)`` — callers
@@ -169,7 +162,8 @@ def fold_constants(
     """
     if protected is None:
         protected = set()
-    dataflow = analyze_dataflow(instructions)
+    if dataflow is None:
+        dataflow = analyze_dataflow(instructions)
     use_counts = [0] * len(instructions)
     for position in range(len(instructions)):
         for producer in dataflow.reg_deps[position]:
@@ -215,6 +209,7 @@ def eliminate_dead_code(
     instructions: List[Instruction],
     targets: Sequence[int],
     assume_no_alias: bool = True,
+    dataflow: Optional[BodyDataflow] = None,
 ) -> Tuple[List[Instruction], List[int], int]:
     """Keep only instructions whose results reach a target position.
 
@@ -229,10 +224,12 @@ def eliminate_dead_code(
     read program memory in the profiled executions, and p-threads are
     speculative prefetchers in any case.  Pass ``False`` for strictly
     semantics-preserving dead-code elimination (used by tests and any
-    caller without profile evidence).
+    caller without profile evidence).  ``dataflow`` is
+    ``analyze_dataflow(instructions)`` if the caller has it.
     """
     targets = _target_positions(len(instructions), targets)
-    dataflow = analyze_dataflow(instructions)
+    if dataflow is None:
+        dataflow = analyze_dataflow(instructions)
     live: Set[int] = set()
     work = list(targets)
 
@@ -325,24 +322,38 @@ def optimize_body(
     instructions = list(body.instructions)
     target_list = _target_positions(len(instructions), targets)
     moves = pairs = folds = dead = 0
+    # The dataflow of the current ``instructions``, threaded through the
+    # pass steps.  The analysis is a pure function of the instruction
+    # list, so it is redone only after a step that changed the body.
+    flow: Optional[BodyDataflow] = body.dataflow
     for _ in range(max_passes):
         before = list(instructions)
         instructions, n_moves = eliminate_moves(instructions)
         moves += n_moves
-        instructions, n_pairs = eliminate_store_load_pairs(instructions)
+        if n_moves or flow is None:
+            flow = analyze_dataflow(instructions)
+        instructions, n_pairs = eliminate_store_load_pairs(instructions, flow)
         pairs += n_pairs
+        if n_pairs:
+            flow = analyze_dataflow(instructions)
         instructions, n_folds, deleted = fold_constants(
-            instructions, protected=set(target_list)
+            instructions, protected=set(target_list), dataflow=flow
         )
         folds += n_folds
         if deleted is not None:
             target_list = [
                 t - 1 if t > deleted else t for t in target_list
             ]
+            flow = analyze_dataflow(instructions)
         instructions, target_list, n_dead = eliminate_dead_code(
-            instructions, target_list, assume_no_alias=assume_no_alias
+            instructions,
+            target_list,
+            assume_no_alias=assume_no_alias,
+            dataflow=flow,
         )
         dead += n_dead
+        if n_dead:
+            flow = None
         if instructions == before:
             break
     report = OptimizationReport(

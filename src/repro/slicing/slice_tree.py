@@ -107,9 +107,11 @@ class SliceTree:
     def insert(self, dynamic_slice: DynamicSlice, trace: Trace) -> None:
         """Insert one dynamic miss slice as a root-to-leaf path."""
         indices = dynamic_slice.indices
-        if trace.pc[indices[0]] != self.load_pc:
+        # One gather, not a numpy scalar read per slice member.
+        path_pcs = trace.pc[list(indices)].tolist()
+        if path_pcs[0] != self.load_pc:
             raise ValueError(
-                f"slice root pc {trace.pc[indices[0]]} does not match tree "
+                f"slice root pc {path_pcs[0]} does not match tree "
                 f"load pc {self.load_pc}"
             )
         self.slices_inserted += 1
@@ -118,7 +120,7 @@ class SliceTree:
         node.visits += 1
         for position in range(1, len(indices)):
             dyn_index = indices[position]
-            pc = int(trace.pc[dyn_index])
+            pc = path_pcs[position]
             child = node.children.get(pc)
             if child is None:
                 child = SliceNode(
@@ -224,7 +226,7 @@ def build_slice_trees(
     """
     return build_slice_trees_for_roots(
         trace,
-        (int(i) for i in trace.miss_indices(miss_level)),
+        trace.miss_indices(miss_level).tolist(),
         scope=scope,
         max_length=max_length,
         start=start,
@@ -247,7 +249,9 @@ def build_slice_trees_for_roots(
     *mispredicted branches* as roots (the paper's footnote 1: "all of
     our methods do apply in that scenario").
     """
-    slicer = Slicer(trace, scope=scope, max_length=max_length)
+    slicer = Slicer(
+        trace, scope=scope, max_length=max_length, start=start, end=end
+    )
     trees: Dict[int, SliceTree] = {}
     stop = len(trace) if end is None else min(end, len(trace))
     for root in roots:

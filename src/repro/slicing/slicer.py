@@ -24,7 +24,8 @@ thread by launch time and becomes a seed live-in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from heapq import heappop, heappush
+from typing import List, Optional, Tuple
 
 from repro.engine.trace import Trace
 
@@ -60,9 +61,19 @@ class Slicer:
         max_length: stop growing the slice beyond this many
             instructions (the tree only needs candidates up to the
             maximum p-thread length, plus slack for optimization).
+        start / end: the roots this slicer accepts, ``[start, end)``
+            (default: the whole trace).  Only the part of the trace
+            those roots' slices can reach is read.
     """
 
-    def __init__(self, trace: Trace, scope: int = 1024, max_length: int = 64) -> None:
+    def __init__(
+        self,
+        trace: Trace,
+        scope: int = 1024,
+        max_length: int = 64,
+        start: int = 0,
+        end: Optional[int] = None,
+    ) -> None:
         if scope < 1:
             raise ValueError("slicing scope must be >= 1")
         if max_length < 1:
@@ -70,53 +81,71 @@ class Slicer:
         self.trace = trace
         self.scope = scope
         self.max_length = max_length
+        self._start = max(start, 0)
+        self._stop = len(trace) if end is None else min(end, len(trace))
+        # Plain-int views of the dependence edges, reading numpy scalars
+        # one at a time dominates slicing otherwise.  They cover only
+        # the window the accepted roots can reach, rebased so that trace
+        # index ``offset`` is 0: a region's slicer reads its region, not
+        # the whole trace.
+        offset = max(min(start, self._stop) - scope, 0)
+        self._offset = offset
+        self._dep1: List[int] = (trace.dep1[offset:self._stop] - offset).tolist()
+        self._dep2: List[int] = (trace.dep2[offset:self._stop] - offset).tolist()
+        self._memdep: List[int] = (
+            trace.memdep[offset:self._stop] - offset
+        ).tolist()
 
     def slice_at(self, root: int) -> DynamicSlice:
         """Compute the backward slice of the dynamic load at ``root``."""
-        trace = self.trace
-        if not 0 <= root < len(trace):
+        if not self._start <= root < self._stop:
             raise IndexError(f"root index out of range: {root}")
-        dep1 = trace.dep1
-        dep2 = trace.dep2
-        memdep = trace.memdep
-        horizon = root - self.scope
+        dep1 = self._dep1
+        dep2 = self._dep2
+        memdep = self._memdep
+        offset = self._offset
+        # Work in window indices.  Producers must lie inside the scope
+        # window; "none" (-1) maps to -1 - offset, below it too.
+        lowest = max(root - self.scope, -1) - offset
+        max_length = self.max_length
 
-        members: List[int] = [root]
-        member_set = {root}
-        # Grow the slice in descending dynamic order.  A max-heap over
-        # candidate producer indices gives exactly that order; a simple
-        # sorted working list is sufficient at these slice lengths.
-        frontier: List[int] = []
-
-        def push(idx: int) -> None:
-            if idx >= 0 and idx > horizon and idx not in member_set:
-                member_set.add(idx)
-                frontier.append(idx)
-
-        def expand(idx: int) -> None:
-            push(int(dep1[idx]))
-            push(int(dep2[idx]))
+        members: List[int] = []
+        # Every index ever pushed (members and frontier alike).
+        seen = {root - offset}
+        # Grow the slice in descending dynamic order: the frontier is a
+        # max-heap of candidate producer indices (stored negated).
+        frontier: List[int] = [offset - root]
+        while frontier and len(members) <= max_length:
+            idx = -heappop(frontier)
+            members.append(idx)
+            producer = dep1[idx]
+            if producer > lowest and producer not in seen:
+                seen.add(producer)
+                heappush(frontier, -producer)
+            producer = dep2[idx]
+            if producer > lowest and producer not in seen:
+                seen.add(producer)
+                heappush(frontier, -producer)
             # memdep is -1 for anything but a store-forwarded load.
-            push(int(memdep[idx]))
-
-        expand(root)
-        while frontier and len(members) <= self.max_length:
-            nxt = max(frontier)
-            frontier.remove(nxt)
-            members.append(nxt)
-            expand(nxt)
+            producer = memdep[idx]
+            if producer > lowest and producer not in seen:
+                seen.add(producer)
+                heappush(frontier, -producer)
 
         position = {idx: pos for pos, idx in enumerate(members)}
         deps: List[Tuple[int, ...]] = []
         for idx in members:
-            producer_positions = []
-            for producer in (int(dep1[idx]), int(dep2[idx]), int(memdep[idx])):
-                if producer in position and producer != idx:
-                    producer_positions.append(position[producer])
-            deps.append(tuple(sorted(set(producer_positions))))
+            producer_positions = [
+                position[producer]
+                for producer in (dep1[idx], dep2[idx], memdep[idx])
+                if producer in position and producer != idx
+            ]
+            if len(producer_positions) > 1:
+                producer_positions = sorted(set(producer_positions))
+            deps.append(tuple(producer_positions))
         result = DynamicSlice(
             root=root,
-            indices=tuple(members),
+            indices=tuple([idx + offset for idx in members]),
             dep_positions=tuple(deps),
         )
         # Debug-mode post-pass (lazy import: repro.analysis imports us).

@@ -1,6 +1,9 @@
 """Tests for the persistent artifact cache and perf counters."""
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -118,6 +121,52 @@ class TestStorage:
         cache.store("baseline", key, {"cycles": 1})
         cache.path("baseline", key).write_text("{ not json")
         assert cache.load("baseline", key) is None
+
+    def test_concurrent_stores_of_one_key_all_succeed(self, tmp_path):
+        """Threads storing the same key never share a temporary file.
+
+        Every writer blocks mid-write (inside pickling) until all have
+        opened their temporary file, then all race to rename it.
+        """
+        writers = 4
+        barrier = threading.Barrier(writers, timeout=30)
+
+        class MidWrite:
+            def __reduce__(self):
+                barrier.wait()
+                return (int, (7,))
+
+        cache = ArtifactCache(tmp_path)
+        key = cache.key("selection", anything=5)
+        errors = []
+
+        def store():
+            try:
+                cache.store("selection", key, [MidWrite()])
+            except Exception as exc:  # pragma: no cover - the regression
+                errors.append(exc)
+
+        threads = [threading.Thread(target=store) for _ in range(writers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert cache.load("selection", key) == [7]
+        assert list(cache.path("selection", key).parent.iterdir()) == [
+            cache.path("selection", key)
+        ]
+
+    def test_entries_get_the_umask_mode(self, tmp_path):
+        """Entries are as readable as a plain ``open()`` would make them."""
+        cache = ArtifactCache(tmp_path)
+        key = cache.key("selection", anything=6)
+        cache.store("selection", key, [1])
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IMODE(cache.path("selection", key).stat().st_mode)
+        assert mode == 0o666 & ~umask
 
     def test_unknown_kind_rejected(self, tmp_path):
         cache = ArtifactCache(tmp_path)

@@ -69,6 +69,26 @@ def test_experiment_run_emits_nested_spans(fresh_obs):
     assert all(span.duration >= 0 for span in experiment.walk())
 
 
+def test_selection_span_splits_into_slicing_and_tree_selection(fresh_obs):
+    """``slice+select`` has exactly one child span per selection layer,
+    never one per slice or per tree, and they account for its time."""
+    tracer, _ = fresh_obs
+    result = seeded_runner().run(ExperimentConfig(workload="pharmacy"))
+    select = tracer.root.find("slice+select")
+    assert [child.name for child in select.children] == [
+        "slice_trees",
+        "select_trees",
+    ]
+    slice_trees, select_trees = select.children
+    assert not slice_trees.children and not select_trees.children
+    trees = len(result.selection.tree_selections)
+    assert slice_trees.meta == {"trees": trees}
+    assert select_trees.meta == {"trees": trees}
+    covered = slice_trees.duration + select_trees.duration
+    assert covered <= select.duration
+    assert covered >= 0.5 * select.duration
+
+
 def test_experiment_run_registers_split_pthread_counters(fresh_obs):
     _, registry = fresh_obs
     result = seeded_runner().run(ExperimentConfig(workload="pharmacy"))
