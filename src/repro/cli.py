@@ -23,8 +23,8 @@ Commands mirror the paper's artifacts::
 Sweeps accept ``--workloads`` to restrict the suite, ``--jobs/-j`` to
 fan cells out over worker processes (default ``REPRO_JOBS``, then the
 CPU count), ``--no-cache`` to skip the persistent artifact cache,
-``--engine compiled|interp`` to pick the simulation engine (default
-compiled; also via ``REPRO_ENGINE``), and ``--perf`` to append a
+``--engine tiered|compiled|interp`` to pick the simulation engine
+(default tiered; also via ``REPRO_ENGINE``), and ``--perf`` to append a
 stage-timing / cache-effectiveness report.
 Every pipeline command also takes ``--trace PATH`` (write the
 invocation's nested span tree as JSON) and ``--metrics PATH`` (write a
@@ -311,17 +311,25 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_parity(args: argparse.Namespace) -> int:
-    from repro.harness.parity import parity_suite, render_parity
+    from repro.validation.parity import (
+        ParityReport,
+        parity_workload,
+        render_parity,
+    )
 
     names = (
         SUITE + ["pharmacy"] if args.workload == "all" else [args.workload]
     )
-    reports = parity_suite(
-        names,
-        input_name=args.input,
-        engine=args.engine,
-        max_instructions=args.max_instructions,
-    )
+    reports: List[ParityReport] = []
+    for name in names:
+        reports.extend(
+            parity_workload(
+                name,
+                input_name=args.input,
+                engine=args.engine,
+                max_instructions=args.max_instructions,
+            )
+        )
     if args.format == "json":
         payload = {
             "input": args.input,
@@ -657,8 +665,9 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=(
                 "simulation engine: tiered (default; interpret, then "
-                "compile hot blocks), compiled basic blocks, or the "
-                "reference interpreter (sets REPRO_ENGINE)"
+                "compile hot blocks), compiled (every block compiled "
+                "up front), or the reference interpreter (sets "
+                "REPRO_ENGINE)"
             ),
         )
         p.add_argument(
@@ -936,7 +945,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parity_parser.add_argument(
         "--engine", choices=["interp", "compiled", "tiered"], default=None,
-        help="engine seam both models run under (default: REPRO_ENGINE)",
+        help=(
+            "engine of the trace-driven model (the event model has one "
+            "dispatch; default: REPRO_ENGINE)"
+        ),
     )
     parity_parser.add_argument(
         "--max-instructions", type=int, default=120_000,

@@ -27,7 +27,7 @@ maximal straight-line runs that end at a terminator (branch, jump,
 dynamic instruction counts, not PCs, so they cannot be block leaders;
 the timing dispatcher instead caps compiled execution at the next
 boundary and single-steps across it with the interpreter (see
-``TimingSimulator._run_compiled``).
+``TimingSimulator._run_tiered``).
 
 Two-stage binding
 -----------------
@@ -83,11 +83,6 @@ ENGINE_INTERP = "interp"
 ENGINE_TIERED = "tiered"
 _INTERP_NAMES = {"interp", "interpreter", "interpreted"}
 
-#: Environment variable for the tier-up threshold (block entry count at
-#: which the tiered engine compiles a block).
-TIER_ENV = "REPRO_TIER_THRESHOLD"
-DEFAULT_TIER_THRESHOLD = 50
-
 #: Programs longer than this are not compiled (compile time guard).
 MAX_PROGRAM = 65_536
 #: Straight-line runs are split so one block never exceeds this.
@@ -109,10 +104,10 @@ _ALIGN_MASK = (
 def resolve_engine(explicit: Optional[str] = None) -> str:
     """Resolve the engine selection: explicit arg > ``REPRO_ENGINE`` > tiered.
 
-    Any spelling of "interp" selects the interpreter; "compiled"
-    selects the always-compile engine; "tiered" (or unset/empty)
-    selects the tiered engine, which starts in the interpreter and
-    compiles only blocks that get hot.  Anything else raises, so a
+    Any spelling of "interp" selects the interpreter; "tiered" (or
+    unset/empty) selects the tiered engine, which starts in the
+    interpreter and compiles only blocks that get hot; "compiled"
+    selects the same block dispatcher with every block hot at entry.  Anything else raises, so a
     typo cannot silently change which engine ran.
     """
     value = explicit if explicit is not None else os.environ.get(ENGINE_ENV)
@@ -136,24 +131,9 @@ def resolve_engine(explicit: Optional[str] = None) -> str:
 #: blocks.  Bounded so interpreter-only inner loops still tier up.
 TIER_SLICE = 4096
 
-
-def tier_threshold() -> int:
-    """Block-entry count at which the tiered engine compiles a block.
-
-    ``REPRO_TIER_THRESHOLD`` overrides the default; values below 1 are
-    clamped to 1 (compile on first re-entry), and a non-integer raises
-    so a typo cannot silently disable tiering.
-    """
-    raw = os.environ.get(TIER_ENV)
-    if raw is None or not raw.strip():
-        return DEFAULT_TIER_THRESHOLD
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise ValueError(
-            f"{TIER_ENV} must be an integer, got {raw!r}"
-        ) from None
-    return max(1, value)
+#: Block-entry count at which the tiered engine compiles a block.  The
+#: simulators read it at run time, so tests can lower it.
+TIER_THRESHOLD = 50
 
 
 def register_engine_metrics() -> None:
@@ -162,9 +142,10 @@ def register_engine_metrics() -> None:
     The metric catalog requires ``engine.compile.*``,
     ``engine.codegen.*`` and ``engine.tier.*`` in every
     default-pipeline snapshot, but a fully-interpreted tiered run never
-    compiles, a disabled code cache is never consulted, and a
-    non-tiered run never tiers.  ``counter()`` is get-or-create, so
-    this pins the names without incrementing anything.
+    compiles, a disabled code cache is never consulted, and an
+    interpreted run never reaches the block dispatcher.  ``counter()``
+    is get-or-create, so this pins the names without incrementing
+    anything.
     """
     registry = obs_registry()
     registry.counter("engine.compile.programs")

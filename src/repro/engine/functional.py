@@ -7,19 +7,20 @@ against a :class:`~repro.memory.hierarchy.FunctionalHierarchy`, and
 records register and memory dependence edges so the slicer can walk
 backward slices without re-executing anything.
 
-Two engines produce bit-identical results (see DESIGN.md):
+Three engines produce bit-identical results (see DESIGN.md):
 
 * the **interpreter** — the per-instruction dispatch loop in
-  :func:`_interp`, which is also resumable so the compiled engine can
-  borrow it for block tails and mid-block entries; and
-* the **compiled** engine — basic-block functions generated by
-  :mod:`repro.engine.compiler` with all decode work baked in, driven by
-  the dispatcher in :meth:`FunctionalSimulator._run_compiled`; and
+  :func:`_interp`, which is also resumable so the block dispatcher can
+  borrow it for block tails and mid-block entries;
 * the **tiered** engine (the default) — starts in the interpreter,
   counts block entries, and compiles only the blocks that cross
-  ``REPRO_TIER_THRESHOLD`` entries
+  :data:`~repro.engine.compiler.TIER_THRESHOLD` entries
   (:meth:`FunctionalSimulator._run_tiered`), so short runs skip
-  compilation entirely while long runs converge to compiled speed.
+  compilation entirely while long runs converge to compiled speed; and
+* the **compiled** engine — the same dispatcher with every block hot
+  from the first instruction: basic-block functions generated by
+  :mod:`repro.engine.compiler` for the whole program, installed before
+  the run starts.
 
 Selection: ``FunctionalSimulator(engine=...)`` > ``REPRO_ENGINE`` >
 tiered.  Sampled runs (:class:`~repro.engine.sampler.CyclicSampler`)
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.report import assert_clean, verification_enabled
+from repro.engine import compiler as _compiler
 from repro.engine.compiler import (
     ENGINE_COMPILED,
     ENGINE_INTERP,
@@ -43,7 +45,6 @@ from repro.engine.compiler import (
     discover_blocks,
     register_engine_metrics,
     resolve_engine,
-    tier_threshold,
 )
 from repro.engine.decode import (
     DecodedProgram,
@@ -171,7 +172,7 @@ def _fold_block_counts(compiled: "CompiledBlocks", counts, st) -> None:
 class _FuncState:
     """Mutable run state shared between the interpreter and dispatcher.
 
-    The compiled dispatcher hands off to :func:`_interp` (and back) at
+    The block dispatcher hands off to :func:`_interp` (and back) at
     block-cache misses, computed-jump entries, and the final
     instructions before the limit; packaging the architectural and
     bookkeeping state in one object makes those hand-offs exact.
@@ -395,12 +396,15 @@ class FunctionalSimulator:
         program: the linked program to run.
         hierarchy_config: cache geometry; if ``None`` no cache model is
             attached and all loads are recorded at level 0.
-        engine: ``"compiled"`` / ``"interp"``; ``None`` defers to the
-            ``REPRO_ENGINE`` environment variable (default compiled).
+        engine: ``"tiered"`` / ``"compiled"`` / ``"interp"``; ``None``
+            defers to the ``REPRO_ENGINE`` environment variable (default
+            tiered).
 
     Attributes:
         last_engine: the engine the most recent :meth:`run` actually
             used (``"interp"`` also when the compiled engine fell back).
+        last_tier: block-dispatch summary of the most recent tiered or
+            compiled run (tier-ups, compiled and interpreted blocks).
     """
 
     def __init__(
@@ -418,51 +422,18 @@ class FunctionalSimulator:
         self._compiled: Dict[tuple, Optional[CompiledBlocks]] = {}
 
     def _compiled_variant(
-        self, tracing: bool, caching: bool
+        self, tracing: bool, caching: bool, hot: Optional[tuple] = None
     ) -> Optional[CompiledBlocks]:
-        """The compiled (tracing, caching) variant, memoized per instance."""
-        key = (tracing, caching)
-        if key not in self._compiled:
-            compiled = compile_functional(self.decoded, tracing, caching)
-            if verification_enabled() and not (
-                compiled is not None and compiled.validated
-            ):
-                # Debug-mode translation validation: statically prove
-                # the generated block functions equivalent to the
-                # interpreter semantics before trusting them with a run.
-                # Cache-loaded modules whose bytes already validated
-                # clean carry ``validated`` and skip the re-proof.
-                from repro.analysis.transval import validate_functional
+        """A compiled (tracing, caching) variant, memoized per instance.
 
-                result = validate_functional(
-                    self.decoded, compiled, tracing=tracing, caching=caching
-                )
-                assert_clean(
-                    result.diagnostics,
-                    f"codegen validation (functional, tracing={tracing}, "
-                    f"caching={caching})",
-                )
-                if compiled is not None:
-                    compiled.validated = True
-                    from repro.engine.codecache import get_code_cache
-
-                    cache = get_code_cache()
-                    if cache is not None:
-                        cache.mark_validated(compiled)
-            self._compiled[key] = compiled
-        return self._compiled[key]
-
-    def _tiered_variant(
-        self, tracing: bool, caching: bool, hot: tuple
-    ) -> Optional[CompiledBlocks]:
-        """The compiled hot-subset variant for tiered runs, memoized.
-
-        ``hot`` is the sorted tuple of hot block-leader PCs; the module
-        covers exactly those blocks.  Under ``REPRO_VERIFY`` the subset
-        is translation-validated like a full compilation (the
-        structural partition check runs in subset mode).
+        ``hot`` is the sorted tuple of block-leader PCs the module
+        covers (a tiered hot subset); ``None`` compiles every block.
+        Under ``REPRO_VERIFY`` the module is translation-validated
+        against the interpreter semantics before it runs (a subset
+        checks the structural partition in subset mode); cache-loaded
+        modules whose bytes already validated clean skip the re-proof.
         """
-        key = ("tiered", tracing, caching, hot)
+        key = (tracing, caching, hot)
         if key not in self._compiled:
             compiled = compile_functional(
                 self.decoded, tracing, caching, only_blocks=hot
@@ -483,9 +454,9 @@ class FunctionalSimulator:
                 )
                 assert_clean(
                     result.diagnostics,
-                    f"codegen validation (functional tiered, "
-                    f"tracing={tracing}, caching={caching}, "
-                    f"blocks={len(hot)})",
+                    f"codegen validation (functional, tracing={tracing}, "
+                    f"caching={caching}, "
+                    f"blocks={'all' if hot is None else len(hot)})",
                 )
                 # The memoized compilation remembers it proved
                 # clean even when no persistent cache is enabled.
@@ -560,12 +531,11 @@ class FunctionalSimulator:
             compiled = self._compiled_variant(
                 tracing=trace is not None, caching=hierarchy is not None
             )
-        if compiled is not None:
-            self.last_engine = ENGINE_COMPILED
-            self._run_compiled(compiled, st, max_instructions, memory, trace)
-        elif self.engine == ENGINE_TIERED and sampler is None:
-            self.last_engine = ENGINE_TIERED
-            self._run_tiered(st, max_instructions, memory, trace)
+        if compiled is not None or (
+            self.engine == ENGINE_TIERED and sampler is None
+        ):
+            self.last_engine = self.engine
+            self._run_tiered(st, max_instructions, memory, trace, compiled)
         else:
             self.last_engine = ENGINE_INTERP
             _interp(self.decoded, st, max_instructions)
@@ -604,97 +574,41 @@ class FunctionalSimulator:
             hierarchy.l2.publish_metrics(registry, "functional.cache.l2")
         return result
 
-    def _run_compiled(
-        self,
-        compiled: CompiledBlocks,
-        st: _FuncState,
-        limit: int,
-        memory: MainMemory,
-        trace: Optional[Trace],
-    ) -> None:
-        """Drive the compiled block table; interpret the gaps.
-
-        The dispatcher runs whole blocks while at least ``max_len``
-        instructions of budget remain (a block never executes partially,
-        so this guarantees the limit is respected), hands computed-jump
-        entries that land mid-block to the interpreter until it reaches
-        a block leader again, and interprets the final instructions
-        before the limit.  Static per-block load/store/branch counts are
-        folded in from block execution counts afterwards.
-        """
-        decoded = self.decoded
-        ctx = {
-            "mem_load": st.mem_load,
-            "mem_store": st.mem_store,
-            "words": memory.raw_words(),
-            "hier_access": st.hier_access,
-            "llc": st.load_level_counts,
-            "trace_buf": trace.raw_buffer() if trace is not None else None,
-            "last_store": st.last_store,
-        }
-        table = compiled.bind(ctx)
-        table_get = table.get
-        counts = [0] * compiled.num_blocks
-        safe = limit - compiled.max_len
-        regs = st.regs
-        lw = st.last_writer
-        pc = st.pc
-        executed = st.executed
-
-        while executed <= safe:
-            entry = table_get(pc)
-            if entry is None:
-                # Mid-block entry (computed jump): interpret until the
-                # next block leader.
-                st.pc = pc
-                st.executed = executed
-                _interp(decoded, st, limit, stop_pcs=table)
-                pc = st.pc
-                executed = st.executed
-                if st.halted:
-                    break
-                continue
-            fn, length, index = entry
-            pc = fn(regs, lw)
-            executed += length
-            counts[index] += 1
-            if pc == -1:
-                st.halted = True
-                break
-
-        st.pc = pc
-        st.executed = executed
-        _fold_block_counts(compiled, counts, st)
-        if not st.halted and st.executed < limit:
-            _interp(decoded, st, limit)
-
     def _run_tiered(
         self,
         st: _FuncState,
         limit: int,
         memory: MainMemory,
         trace: Optional[Trace],
+        compiled: Optional[CompiledBlocks] = None,
     ) -> None:
         """Interpret first; compile blocks once they prove hot.
 
         Starts in the resumable interpreter with block-entry counting
         on.  Every ``_TIER_SLICE`` instructions the counts are scanned
-        and all block leaders past :func:`tier_threshold` entries are
+        and all block leaders past
+        :data:`~repro.engine.compiler.TIER_THRESHOLD` entries are
         compiled in one batch (the module always covers the whole hot
         set, so earlier hot blocks recompile together with the new
         ones and keep dispatching through a single table).  Compiled
-        blocks then run under the same dispatch discipline as
-        :meth:`_run_compiled`; dispatch misses on cold leaders keep
-        counting so late-blooming blocks still tier up.
+        blocks run whole while at least ``max_len`` instructions of
+        budget remain (a block never executes partially, so the limit
+        holds); a dispatch miss — a cold leader or a computed jump into
+        a block interior — hands over to the interpreter until the next
+        compiled leader, and misses on cold leaders keep counting so
+        late-blooming blocks still tier up.  Static per-block
+        load/store/branch counts fold in from block execution counts.
 
-        Short runs never pay for codegen; long runs converge to
-        compiled speed.  Results are bit-identical to both other
-        engines.
+        ``compiled`` installs a module before the first instruction:
+        the compiled engine passes the whole program, every block hot
+        at entry.  Short tiered runs never pay for codegen; long runs
+        converge to compiled speed.  Results are bit-identical to the
+        interpreter.
         """
         decoded = self.decoded
         tracing = trace is not None
         caching = st.hier_access is not None
-        threshold = tier_threshold()
+        threshold = _compiler.TIER_THRESHOLD
         leaders = frozenset(start for start, _end in discover_blocks(decoded))
         entry_counts: Dict[int, int] = {}
         attempted: set = set()
@@ -710,11 +624,15 @@ class FunctionalSimulator:
             "trace_buf": trace.raw_buffer() if trace is not None else None,
             "last_store": st.last_store,
         }
-        compiled: Optional[CompiledBlocks] = None
         table: dict = {}
-        table_get = table.get
         counts: List[int] = []
         safe = -1
+        if compiled is not None:
+            attempted.update(compiled.starts)
+            table = compiled.bind(ctx)
+            counts = [0] * compiled.num_blocks
+            safe = limit - compiled.max_len
+        table_get = table.get
         next_scan = _TIER_SLICE
 
         while not st.halted and st.executed < limit:
@@ -765,7 +683,7 @@ class FunctionalSimulator:
                         program=self.program.name,
                         blocks=len(hot),
                     ):
-                        new = self._tiered_variant(tracing, caching, hot)
+                        new = self._compiled_variant(tracing, caching, hot)
                     if new is None:
                         # Subset failed to compile; never retry it.
                         rejected.update(fresh)

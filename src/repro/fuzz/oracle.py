@@ -532,7 +532,6 @@ def _check_timing_parity(
             workload.hierarchy,
             machine=machine,
             pthreads=pthreads,
-            engine=ENGINE_INTERP,
         )
         event_stats = event_sim.run(mode, max_instructions=max_instructions)
         report = compare_runs(
@@ -546,7 +545,7 @@ def _check_timing_parity(
             ),
             workload=workload.name,
             mode=mode.name,
-            engine=str(event_sim.last_engine),
+            engine=ENGINE_INTERP,
         )
         for pcheck in report.checks:
             if not pcheck.ok:

@@ -22,12 +22,6 @@ from repro.harness.parallel import (
     SweepExecutor,
     resolve_jobs,
 )
-from repro.harness.parity import (
-    PARITY_MODES,
-    parity_suite,
-    parity_workload,
-    render_parity,
-)
 from repro.harness.report import fmt, render_perf, render_series, render_table
 from repro.harness.tables import (
     Table1Row,
@@ -46,7 +40,6 @@ __all__ = [
     "ExperimentRunner",
     "FIGURE_METRICS",
     "FigureData",
-    "PARITY_MODES",
     "PerfCounters",
     "SweepError",
     "SweepExecutor",
@@ -59,9 +52,6 @@ __all__ = [
     "figure8_memory_latency",
     "figure8b_processor_width",
     "fmt",
-    "parity_suite",
-    "parity_workload",
-    "render_parity",
     "render_perf",
     "render_series",
     "render_table",

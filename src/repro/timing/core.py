@@ -26,14 +26,17 @@ order) while computing a cycle-level timing model alongside:
   forward through a private store buffer and never commit.  Body loads
   prefetch into the L2 only.
 
-Like the functional simulator, two engines produce bit-identical
+Like the functional simulator, three engines produce bit-identical
 :class:`~repro.timing.stats.SimStats` (see DESIGN.md): the resumable
-interpreter in :meth:`TimingSimulator._interp`, and compiled
-basic-block functions from :mod:`repro.engine.compiler` driven by
-:meth:`TimingSimulator._run_compiled`.  The dispatcher leans on the
-interpreter for block tails, computed-jump entries, and the
-instructions around schedule region boundaries (which are dynamic
-instruction counts, not PCs, so compiled blocks cannot observe them).
+interpreter in :meth:`TimingSimulator._interp`, and one block
+dispatcher, :meth:`TimingSimulator._run_tiered`, that drives compiled
+basic-block functions from :mod:`repro.engine.compiler`.  The
+``tiered`` engine compiles blocks as they prove hot; ``compiled`` is
+the same dispatcher with every block hot at entry.  The dispatcher
+leans on the interpreter for cold blocks, block tails, computed-jump
+entries, and the instructions around schedule region boundaries
+(which are dynamic instruction counts, not PCs, so compiled blocks
+cannot observe them).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import assert_clean, verification_enabled
+from repro.engine import compiler as _compiler
 from repro.engine.compiler import (
     ENGINE_COMPILED,
     ENGINE_INTERP,
@@ -51,7 +55,6 @@ from repro.engine.compiler import (
     discover_blocks,
     register_engine_metrics,
     resolve_engine,
-    tier_threshold,
 )
 from repro.engine.decode import (
     DecodedProgram,
@@ -224,8 +227,9 @@ class TimingSimulator:
             exclusive with ``schedule``).
         schedule: region-based p-thread activation for granularity
             experiments.
-        engine: ``"compiled"`` / ``"interp"``; ``None`` defers to the
-            ``REPRO_ENGINE`` environment variable (default compiled).
+        engine: ``"tiered"`` / ``"compiled"`` / ``"interp"``; ``None``
+            defers to the ``REPRO_ENGINE`` environment variable (default
+            tiered).
 
     Attributes:
         last_registers: committed register file after the most recent
@@ -295,98 +299,45 @@ class TimingSimulator:
             triggers.setdefault(pthread.trigger_pc, []).append(pthread)
         return triggers
 
-    def _compiled_variant(
+    def _codegen_params(
         self, launching: bool, stealing: bool, prefetching: bool
-    ) -> Optional[CompiledBlocks]:
-        """The compiled variant for a mode shape, memoized per instance."""
-        key = (launching, stealing, prefetching)
-        if key not in self._compiled:
-            machine = self.machine
-            compiled = compile_timing(
-                self.decoded,
-                window=machine.window,
-                bw_seq=machine.bw_seq,
-                dispatch_latency=machine.dispatch_latency,
-                mispredict_penalty=machine.mispredict_penalty,
-                forward_latency=machine.store_forward_latency,
-                launching=launching,
-                stealing=stealing,
-                prefetching=prefetching,
-                trigger_pcs=self._trigger_union,
-                hinted_pcs=self._hinted_pcs,
-            )
-            if verification_enabled() and not (
-                compiled is not None and compiled.validated
-            ):
-                # Debug-mode translation validation: statically prove
-                # the generated block functions equivalent to the
-                # timing-loop semantics before trusting them with a run.
-                # Cache-loaded modules whose bytes already validated
-                # clean carry ``validated`` and skip the re-proof.
-                from repro.analysis.transval import (
-                    TimingParams,
-                    validate_timing,
-                )
+    ) -> dict:
+        """Keyword arguments shared by :func:`compile_timing` and
+        :class:`repro.analysis.transval.TimingParams` for a mode shape."""
+        machine = self.machine
+        return dict(
+            window=machine.window,
+            bw_seq=machine.bw_seq,
+            dispatch_latency=machine.dispatch_latency,
+            mispredict_penalty=machine.mispredict_penalty,
+            forward_latency=machine.store_forward_latency,
+            launching=launching,
+            stealing=stealing,
+            prefetching=prefetching,
+            trigger_pcs=self._trigger_union,
+            hinted_pcs=self._hinted_pcs,
+        )
 
-                params = TimingParams(
-                    window=machine.window,
-                    bw_seq=machine.bw_seq,
-                    dispatch_latency=machine.dispatch_latency,
-                    mispredict_penalty=machine.mispredict_penalty,
-                    forward_latency=machine.store_forward_latency,
-                    launching=launching,
-                    stealing=stealing,
-                    prefetching=prefetching,
-                    trigger_pcs=self._trigger_union,
-                    hinted_pcs=self._hinted_pcs,
-                )
-                result = validate_timing(self.decoded, compiled, params)
-                assert_clean(
-                    result.diagnostics,
-                    f"codegen validation (timing, launching={launching}, "
-                    f"stealing={stealing}, prefetching={prefetching})",
-                )
-                if compiled is not None:
-                    compiled.validated = True
-                    from repro.engine.codecache import get_code_cache
-
-                    cache = get_code_cache()
-                    if cache is not None:
-                        cache.mark_validated(compiled)
-            self._compiled[key] = compiled
-        return self._compiled[key]
-
-    def _tiered_variant(
+    def _compiled_variant(
         self,
         launching: bool,
         stealing: bool,
         prefetching: bool,
-        hot: tuple,
+        hot: Optional[tuple] = None,
     ) -> Optional[CompiledBlocks]:
-        """The compiled hot-subset variant for tiered runs, memoized.
+        """A compiled variant for a mode shape, memoized per instance.
 
-        ``hot`` is the sorted tuple of hot block-leader PCs; the module
-        covers exactly those blocks.  Under ``REPRO_VERIFY`` the subset
-        is translation-validated like a full compilation (the
-        structural partition check runs in subset mode).
+        ``hot`` is the sorted tuple of block-leader PCs the module
+        covers (a tiered hot subset); ``None`` compiles every block.
+        Under ``REPRO_VERIFY`` the module is translation-validated
+        against the timing-loop semantics before it runs (a subset
+        checks the structural partition in subset mode); cache-loaded
+        modules whose bytes already validated clean skip the re-proof.
         """
-        key = ("tiered", launching, stealing, prefetching, hot)
+        key = (launching, stealing, prefetching, hot)
         if key not in self._compiled:
-            machine = self.machine
-            compiled = compile_timing(
-                self.decoded,
-                window=machine.window,
-                bw_seq=machine.bw_seq,
-                dispatch_latency=machine.dispatch_latency,
-                mispredict_penalty=machine.mispredict_penalty,
-                forward_latency=machine.store_forward_latency,
-                launching=launching,
-                stealing=stealing,
-                prefetching=prefetching,
-                trigger_pcs=self._trigger_union,
-                hinted_pcs=self._hinted_pcs,
-                only_blocks=hot,
-            )
+            params = self._codegen_params(launching, stealing, prefetching)
+            compiled = compile_timing(self.decoded, **params, only_blocks=hot)
             if (
                 compiled is not None
                 and verification_enabled()
@@ -397,26 +348,17 @@ class TimingSimulator:
                     validate_timing,
                 )
 
-                params = TimingParams(
-                    window=machine.window,
-                    bw_seq=machine.bw_seq,
-                    dispatch_latency=machine.dispatch_latency,
-                    mispredict_penalty=machine.mispredict_penalty,
-                    forward_latency=machine.store_forward_latency,
-                    launching=launching,
-                    stealing=stealing,
-                    prefetching=prefetching,
-                    trigger_pcs=self._trigger_union,
-                    hinted_pcs=self._hinted_pcs,
-                )
                 result = validate_timing(
-                    self.decoded, compiled, params, only_blocks=hot
+                    self.decoded,
+                    compiled,
+                    TimingParams(**params),
+                    only_blocks=hot,
                 )
                 assert_clean(
                     result.diagnostics,
-                    f"codegen validation (timing tiered, "
-                    f"launching={launching}, stealing={stealing}, "
-                    f"prefetching={prefetching}, blocks={len(hot)})",
+                    f"codegen validation (timing, launching={launching}, "
+                    f"stealing={stealing}, prefetching={prefetching}, "
+                    f"blocks={'all' if hot is None else len(hot)})",
                 )
                 # The memoized compilation remembers it proved
                 # clean even when no persistent cache is enabled.
@@ -443,33 +385,9 @@ class TimingSimulator:
         """
         from repro.analysis.transval import TimingParams, validate_timing
 
-        machine = self.machine
-        compiled = compile_timing(
-            self.decoded,
-            window=machine.window,
-            bw_seq=machine.bw_seq,
-            dispatch_latency=machine.dispatch_latency,
-            mispredict_penalty=machine.mispredict_penalty,
-            forward_latency=machine.store_forward_latency,
-            launching=launching,
-            stealing=stealing,
-            prefetching=prefetching,
-            trigger_pcs=self._trigger_union,
-            hinted_pcs=self._hinted_pcs,
-        )
-        params = TimingParams(
-            window=machine.window,
-            bw_seq=machine.bw_seq,
-            dispatch_latency=machine.dispatch_latency,
-            mispredict_penalty=machine.mispredict_penalty,
-            forward_latency=machine.store_forward_latency,
-            launching=launching,
-            stealing=stealing,
-            prefetching=prefetching,
-            trigger_pcs=frozenset(self._trigger_union),
-            hinted_pcs=frozenset(self._hinted_pcs),
-        )
-        return validate_timing(self.decoded, compiled, params)
+        params = self._codegen_params(launching, stealing, prefetching)
+        compiled = compile_timing(self.decoded, **params)
+        return validate_timing(self.decoded, compiled, TimingParams(**params))
 
     def run(
         self,
@@ -537,12 +455,11 @@ class TimingSimulator:
                 stealing=st.launching and mode.steal,
                 prefetching=prefetcher is not None,
             )
-        if compiled is not None:
-            self.last_engine = ENGINE_COMPILED
-            self._run_compiled(compiled, st, max_instructions)
-        elif self.engine == ENGINE_TIERED:
-            self.last_engine = ENGINE_TIERED
-            self._run_tiered(st, max_instructions, prefetcher is not None)
+        if compiled is not None or self.engine == ENGINE_TIERED:
+            self.last_engine = self.engine
+            self._run_tiered(
+                st, max_instructions, prefetcher is not None, compiled
+            )
         else:
             self.last_engine = ENGINE_INTERP
             self._interp(st, max_instructions)
@@ -932,135 +849,12 @@ class TimingSimulator:
         if halted:
             st.halted = True
 
-    def _run_compiled(
-        self, compiled: CompiledBlocks, st: _TimingState, limit: int
-    ) -> None:
-        """Drive the compiled block table; interpret the gaps.
-
-        Compiled blocks cannot observe dynamic-instruction milestones
-        mid-block, so the dispatcher only runs a block when at least
-        ``max_len`` instructions remain before the next schedule region
-        boundary and before the run limit; the interpreter carries
-        execution across those edges (and across computed-jump entries
-        that land mid-block).  Static per-block load/store/branch
-        counts fold in from block execution counts at the end.
-        """
-        hierarchy = st.hierarchy
-        mode = st.mode
-        contexts = st.contexts
-        stolen = st.stolen
-        regs = st.regs
-        rdy = st.reg_ready
-        launch_one = self._launch
-
-        def launch(waiting: List[StaticPThread], disp: int) -> None:
-            for pthread in waiting:
-                launch_one(
-                    pthread,
-                    disp,
-                    mode,
-                    contexts,
-                    stolen,
-                    regs,
-                    rdy,
-                    st.mem_load,
-                    hierarchy,
-                    st.stats,
-                    st.branch_hints,
-                    st.branch_counts,
-                )
-
-        ctx = {
-            "ring": st.retire_ring,
-            "store_queue": st.store_queue,
-            "predict": st.predictor.predict_and_update,
-            "predict_ind": st.predictor.predict_indirect,
-            "mt_access": hierarchy.mt_access_fast,
-            "pt_access": hierarchy.pt_access_fast,
-            "mem_load": st.mem_load,
-            "mem_store": st.mem_store,
-            "words": st.memory.raw_words(),
-            "miss_exposure": st.miss_exposure,
-            "tallies": st.tallies,
-            "stolen": stolen,
-            "trig": st.trig,
-            "launch": launch,
-            "branch_hints": st.branch_hints,
-            "branch_counts": st.branch_counts,
-            "observe": (
-                st.prefetcher.observe if st.prefetcher is not None else None
-            ),
-        }
-        table = compiled.bind(ctx)
-        table_get = table.get
-        counts = [0] * compiled.num_blocks
-        max_len = compiled.max_len
-        launching = st.launching
-        last_region = len(self.schedule) - 1
-        cleanup_mark = 0
-
-        while not st.halted and st.executed < limit:
-            executed = st.executed
-            if (
-                launching
-                and executed >= st.region_end
-                and st.region_index < last_region
-            ):
-                self._advance_region(st, executed)
-            cap = limit
-            if (
-                launching
-                and st.region_index < last_region
-                and st.region_end < cap
-            ):
-                cap = st.region_end
-            if executed > cap - max_len:
-                # Approaching the region boundary or the run limit:
-                # single-step across it with the interpreter.
-                self._interp(st, cap)
-                continue
-            entry = table_get(st.pc)
-            if entry is None:
-                # Mid-block entry (computed jump): interpret until the
-                # next block leader.
-                self._interp(st, cap, stop_pcs=table)
-                continue
-            fn, length, index = entry
-            (
-                st.pc,
-                st.executed,
-                st.fetch_cycle,
-                st.cap_used,
-                st.last_retire,
-            ) = fn(
-                executed, st.fetch_cycle, st.cap_used, st.last_retire, regs, rdy
-            )
-            counts[index] += 1
-            if st.pc == -1:
-                st.halted = True
-                break
-            # Periodic stale stolen-slot cleanup, mirroring the
-            # interpreter's (cleanup timing is unobservable: fetch
-            # cycles are monotonic).
-            if st.executed - cleanup_mark >= 0x10000:
-                cleanup_mark = st.executed
-                if stolen:
-                    fc = st.fetch_cycle
-                    for cycle in [c for c in stolen if c < fc]:
-                        del stolen[cycle]
-
-        stats = st.stats
-        block_loads = compiled.loads
-        block_stores = compiled.stores
-        block_branches = compiled.branches
-        for index, count in enumerate(counts):
-            if count:
-                stats.loads += count * block_loads[index]
-                stats.stores += count * block_stores[index]
-                stats.branches += count * block_branches[index]
-
     def _run_tiered(
-        self, st: _TimingState, limit: int, prefetching: bool
+        self,
+        st: _TimingState,
+        limit: int,
+        prefetching: bool,
+        compiled: Optional[CompiledBlocks] = None,
     ) -> None:
         """Interpret first; compile blocks once they prove hot.
 
@@ -1068,15 +862,24 @@ class TimingSimulator:
         :meth:`repro.engine.functional.FunctionalSimulator._run_tiered`:
         starts in the resumable interpreter with block-entry counting
         on, scans the counts every ``TIER_SLICE`` instructions, and
-        batch-compiles all block leaders past :func:`tier_threshold`
-        entries.  Compiled blocks run under the same region-boundary
-        and limit discipline as :meth:`_run_compiled`; dispatch misses
-        on cold leaders keep counting so late-blooming blocks still
-        tier up.  Cycle counts are bit-identical to both other engines.
+        batch-compiles all block leaders past
+        :data:`~repro.engine.compiler.TIER_THRESHOLD` entries.
+        Compiled blocks cannot observe dynamic-instruction milestones
+        mid-block, so a block only runs when at least ``max_len``
+        instructions remain before the next schedule region boundary
+        and before the run limit; the interpreter carries execution
+        across those edges, across cold leaders (which keep counting so
+        late-blooming blocks still tier up), and across computed-jump
+        entries that land mid-block.  Static per-block
+        load/store/branch counts fold in from block execution counts.
+
+        ``compiled`` installs a module before the first instruction:
+        the compiled engine passes the whole program, every block hot
+        at entry.  Cycle counts are bit-identical to the interpreter.
         """
         launching = st.launching
         stealing = launching and st.mode.steal
-        threshold = tier_threshold()
+        threshold = _compiler.TIER_THRESHOLD
         leaders = frozenset(
             start
             for start, _end in discover_blocks(
@@ -1137,11 +940,15 @@ class TimingSimulator:
                 st.prefetcher.observe if st.prefetcher is not None else None
             ),
         }
-        compiled: Optional[CompiledBlocks] = None
         table: dict = {}
-        table_get = table.get
         counts: List[int] = []
         max_len = 0
+        if compiled is not None:
+            attempted.update(compiled.starts)
+            table = compiled.bind(ctx)
+            counts = [0] * compiled.num_blocks
+            max_len = compiled.max_len
+        table_get = table.get
         last_region = len(self.schedule) - 1
         cleanup_mark = 0
         next_scan = TIER_SLICE
@@ -1221,7 +1028,7 @@ class TimingSimulator:
                         program=self.program.name,
                         blocks=len(hot),
                     ):
-                        new = self._tiered_variant(
+                        new = self._compiled_variant(
                             launching, stealing, prefetching, hot
                         )
                     if new is None:
@@ -1229,7 +1036,7 @@ class TimingSimulator:
                         rejected.update(fresh)
                     else:
                         if compiled is not None:
-                            self._fold_tiered_counts(compiled, counts, st)
+                            self._fold_block_counts(compiled, counts, st)
                         attempted.update(fresh)
                         tier_ups += 1
                         compiled = new
@@ -1248,7 +1055,7 @@ class TimingSimulator:
             )
 
         if compiled is not None:
-            self._fold_tiered_counts(compiled, counts, st)
+            self._fold_block_counts(compiled, counts, st)
         interp_blocks = sum(
             1 for p in entry_counts if p in leaders and p not in attempted
         )
@@ -1264,7 +1071,7 @@ class TimingSimulator:
         }
 
     @staticmethod
-    def _fold_tiered_counts(
+    def _fold_block_counts(
         compiled: CompiledBlocks, counts: List[int], st: _TimingState
     ) -> None:
         """Fold static per-block event counts into the run stats."""

@@ -31,6 +31,15 @@ tolerance, default 2% / 16 cycles) exist as documented headroom for
 future models that relax event ordering, not as an escape hatch:
 ``--strict`` keeps the band at its defaults rather than widening it.
 
+:func:`parity_workload` drives one bundled workload through the
+contract in the baseline and pre-execution modes; ``repro parity``
+loops it over the requested workloads.  Its p-thread selection uses
+the same fixed-IPC shortcut as the lint/verify-codegen drivers: a
+structurally representative selection is what parity needs, not the
+model's tuned one.  Both models run under one shared instruction cap
+so the committed state being compared is well-defined regardless of
+workload length.
+
 :class:`ParityReport` keeps every comparison; on failure,
 :attr:`ParityReport.first_divergence` names the first diverging check
 in the pinned order (the earliest observable consequence of the bug,
@@ -43,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs import get_registry as obs_registry, get_tracer
+from repro.timing.config import BASELINE, PRE_EXECUTION, SimMode
 
 #: Default tolerance band for the cycle-level checks.
 DEFAULT_REL_TOL = 0.02
@@ -71,6 +81,13 @@ EXACT_STAT_FIELDS = (
 
 #: Cycle-level fields compared within the tolerance band.
 BAND_STAT_FIELDS = ("cycles", "ipc")
+
+#: Modes every workload is compared under: the unassisted machine and
+#: the full pre-execution machine (launch + execute + steal + hint).
+PARITY_MODES: Sequence[SimMode] = (BASELINE, PRE_EXECUTION)
+
+#: Shared per-run instruction cap (see module docstring).
+DEFAULT_MAX_INSTRUCTIONS = 120_000
 
 
 @dataclass(frozen=True)
@@ -291,12 +308,14 @@ def run_parity(
     pthreads: Optional[Sequence] = None,
     machine=None,
     engine: Optional[str] = None,
-    max_instructions: int = 120_000,
+    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     workload: str = "?",
     tolerance: Optional[ParityTolerance] = None,
 ) -> ParityReport:
     """Run both timing models on one configuration and compare.
 
+    ``engine`` selects the trace-driven model's engine (the event model
+    has one plain dispatch); the report names the engine that ran.
     Both models run under the same instruction cap so the committed
     state they are compared on is well-defined even for workloads that
     do not halt within the cap.  Emits a ``parity`` span and folds
@@ -316,7 +335,7 @@ def run_parity(
         )
         event_sim = EventSimulator(
             program, hierarchy_config, machine=machine,
-            pthreads=list(pthreads) if pthreads else None, engine=engine,
+            pthreads=list(pthreads) if pthreads else None,
         )
         trace_run = _capture(trace_sim, mode, max_instructions)
         event_run = _capture(event_sim, mode, max_instructions)
@@ -325,7 +344,7 @@ def run_parity(
             event_run,
             workload=workload,
             mode=mode_name,
-            engine=str(event_sim.last_engine),
+            engine=str(trace_sim.last_engine),
             tolerance=tolerance,
         )
     registry = obs_registry()
@@ -333,3 +352,65 @@ def run_parity(
     if not report.ok:
         registry.counter("parity.divergences").inc()
     return report
+
+
+def parity_workload(
+    name: str,
+    input_name: str = "train",
+    engine: Optional[str] = None,
+    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
+    tolerance: Optional[ParityTolerance] = None,
+) -> List[ParityReport]:
+    """Parity reports for one bundled workload, one per mode in order."""
+    from repro.engine import run_program
+    from repro.model import ModelParams, SelectionConstraints
+    from repro.selection import select_pthreads
+    from repro.workloads import build
+
+    workload = build(name, input_name)
+    trace = run_program(workload.program, workload.hierarchy)
+    params = ModelParams(
+        bw_seq=8,
+        unassisted_ipc=1.0,
+        mem_latency=workload.hierarchy.mem_latency,
+        load_latency=workload.hierarchy.l1.hit_latency,
+    )
+    selection = select_pthreads(
+        workload.program, trace.trace, params, SelectionConstraints()
+    )
+    return [
+        run_parity(
+            workload.program,
+            workload.hierarchy,
+            mode,
+            pthreads=selection.pthreads if mode.launch else None,
+            engine=engine,
+            max_instructions=max_instructions,
+            workload=name,
+            tolerance=tolerance,
+        )
+        for mode in PARITY_MODES
+    ]
+
+
+def render_parity(reports: Sequence[ParityReport]) -> str:
+    """Fixed-width sweep table plus detail lines for divergences."""
+    lines = []
+    width = max((len(r.workload) for r in reports), default=8)
+    for report in reports:
+        status = "ok"
+        first = report.first_divergence
+        if first is not None:
+            status = f"DIVERGED at {first.name}"
+        lines.append(
+            f"{report.workload:<{width}} {report.mode:<10} "
+            f"engine={report.engine:<8} checks={len(report.checks):<3} "
+            f"{status}"
+        )
+        if first is not None:
+            lines.append(f"    {first.render()}")
+    diverged = sum(1 for r in reports if not r.ok)
+    lines.append(
+        f"\n{len(reports)} comparison(s), {diverged} divergence(s)"
+    )
+    return "\n".join(lines)

@@ -1,25 +1,30 @@
-"""Tiered-engine mechanics and the persistent codegen cache.
+"""Block-dispatcher mechanics and the persistent codegen cache.
 
-The equivalence suite proves the tiered engine's *results*; these
-tests pin its *mechanics*: the entry-count threshold compiles exactly
-the hot blocks, short runs never pay for codegen, warm disk-cache hits
-skip source emission entirely, and a corrupt cache entry degrades to a
-recompile instead of an error.
+The equivalence suite proves the tiered and compiled engines'
+*results*; these tests pin their *mechanics*: the entry-count threshold
+compiles exactly the hot blocks, short tiered runs never pay for
+codegen, the compiled engine runs generated code from instruction 0
+(even for runs too short to ever tier up), its eager compile asks for
+the same code-cache key as before, warm disk-cache hits skip source
+emission entirely, and a corrupt cache entry degrades to a recompile
+instead of an error.
 """
 
 import pytest
 
 from repro.engine import compiler
+from repro.engine import functional as functional_module
 from repro.engine.codecache import get_code_cache, reset_code_cache
 from repro.engine.compiler import (
     ENGINE_COMPILED,
     ENGINE_INTERP,
     ENGINE_TIERED,
-    TIER_ENV,
     TIER_SLICE,
 )
 from repro.engine.functional import FunctionalSimulator
 from repro.isa import assemble
+from repro.memory.hierarchy import HierarchyConfig
+from repro.timing.core import TimingSimulator
 
 #: A hot loop (3000 iterations, ~9000 instructions — comfortably past
 #: TIER_SLICE) followed by a cold straight-line tail that runs once.
@@ -36,6 +41,25 @@ loop:
 
 HOT_LEADER = 1
 COLD_LEADER = 4
+
+#: The same shape with 300 iterations: 903 dynamic instructions, well
+#: under TIER_SLICE, so the tiered engine never scans for hot blocks.
+SHORT_SOURCE = HOT_COLD_SOURCE.replace("3000", "300")
+SHORT_INSTRUCTIONS = 903
+
+#: Code-cache keys the compiled engine's whole-program compile of
+#: ``assemble(SHORT_SOURCE, name="eager_test")`` asked for before it
+#: became the tiered dispatcher with every block hot: the functional
+#: (tracing, no cache model) variant and the timing baseline variant on
+#: the default machine.  Cache entries written under these keys must
+#: keep hitting.  A deliberate ``CODEGEN_SCHEMA_VERSION`` bump changes
+#: them; update the digests with it.
+EAGER_FUNCTIONAL_KEY = (
+    "9c0a1a87533ec5b2183664b77a36ff36abbd4b5c49ea9abdfba43d35f9acddd6"
+)
+EAGER_TIMING_KEY = (
+    "cbb0ca037f84655bae966829f9c12f0df7df4326de273ef07b8bbbee3cc78ca5"
+)
 
 
 def _program(name="tiered_test"):
@@ -61,7 +85,7 @@ class TestTierThreshold:
     def test_hot_blocks_compile_cold_blocks_stay_interpreted(
         self, monkeypatch
     ):
-        monkeypatch.setenv(TIER_ENV, "10")
+        monkeypatch.setattr(compiler, "TIER_THRESHOLD", 10)
         program = _program()
         sim, result = _run(program, ENGINE_TIERED)
         assert sim.last_engine == ENGINE_TIERED
@@ -77,7 +101,7 @@ class TestTierThreshold:
         assert result.to_dict() == ref.to_dict()
 
     def test_short_run_never_compiles(self, monkeypatch):
-        monkeypatch.setenv(TIER_ENV, "10")
+        monkeypatch.setattr(compiler, "TIER_THRESHOLD", 10)
         program = _program()
         sim, result = _run(
             program, ENGINE_TIERED, max_instructions=TIER_SLICE // 2
@@ -90,12 +114,72 @@ class TestTierThreshold:
         assert result.to_dict() == ref.to_dict()
 
     def test_unreachable_threshold_stays_interpreted(self, monkeypatch):
-        monkeypatch.setenv(TIER_ENV, "1000000")
+        monkeypatch.setattr(compiler, "TIER_THRESHOLD", 1_000_000)
         program = _program()
         sim, result = _run(program, ENGINE_TIERED)
         assert sim.last_tier["tier_ups"] == 0
         _sim, ref = _run(program, ENGINE_INTERP)
         assert result.to_dict() == ref.to_dict()
+
+
+class TestEagerCompile:
+    """``compiled`` is the tiered dispatcher with every block hot."""
+
+    def test_short_runs_execute_compiled_blocks(self, monkeypatch):
+        # The fuzz oracle's engine_equivalence family relies on this:
+        # generated programs often finish before the first tier scan,
+        # yet a compiled run must still execute generated code.
+        program = assemble(SHORT_SOURCE, name="eager_test")
+        tiered = FunctionalSimulator(program, engine=ENGINE_TIERED)
+        tiered.run()
+        assert tiered.last_tier["compiled_blocks"] == 0
+        _sim, ref = _run(program, ENGINE_INTERP)
+        timing_ref = TimingSimulator(
+            program, HierarchyConfig(), engine=ENGINE_INTERP
+        ).run()
+
+        # With whole blocks always in budget, nothing is interpreted.
+        def no_interp(*args, **kwargs):
+            raise AssertionError("compiled run fell back to the interpreter")
+
+        monkeypatch.setattr(functional_module, "_interp", no_interp)
+        monkeypatch.setattr(TimingSimulator, "_interp", no_interp)
+
+        sim, result = _run(program, ENGINE_COMPILED)
+        assert result.instructions == SHORT_INSTRUCTIONS < TIER_SLICE
+        assert sim.last_engine == ENGINE_COMPILED
+        assert sim.last_tier["tier_ups"] == 0
+        assert sim.last_tier["compiled_blocks"] == 3
+        assert sim.last_tier["interp_blocks"] == 0
+        assert result.to_dict() == ref.to_dict()
+
+        timing = TimingSimulator(
+            program, HierarchyConfig(), engine=ENGINE_COMPILED
+        )
+        stats = timing.run()
+        assert stats.instructions == SHORT_INSTRUCTIONS
+        assert timing.last_engine == ENGINE_COMPILED
+        assert timing.last_tier["compiled_blocks"] == 3
+        assert stats.to_dict() == timing_ref.to_dict()
+
+    def test_eager_compile_keeps_its_cache_key(self, monkeypatch):
+        requested = []
+        real_key = compiler._compile_key
+
+        def spy(*args, **kwargs):
+            key = real_key(*args, **kwargs)
+            requested.append(key)
+            return key
+
+        monkeypatch.setattr(compiler, "_compile_key", spy)
+        program = assemble(SHORT_SOURCE, name="eager_test")
+        _run(program, ENGINE_COMPILED)
+        assert requested == [EAGER_FUNCTIONAL_KEY]
+        requested.clear()
+        TimingSimulator(
+            program, HierarchyConfig(), engine=ENGINE_COMPILED
+        ).run()
+        assert requested == [EAGER_TIMING_KEY]
 
 
 class TestCodeCache:
@@ -120,7 +204,7 @@ class TestCodeCache:
         assert cache.perf.misses.get("codegen", 0) == 0
 
     def test_tiered_engine_hits_the_same_cache(self, cache_dir, monkeypatch):
-        monkeypatch.setenv(TIER_ENV, "10")
+        monkeypatch.setattr(compiler, "TIER_THRESHOLD", 10)
         program = _program()
         _sim, cold = _run(program, ENGINE_TIERED)
         reset_code_cache()

@@ -182,6 +182,22 @@ class TestRunParity:
         assert report.ok, report.render()
         assert report.mode == mode.name
 
+    @pytest.mark.parametrize("engine", ["interp", "compiled"])
+    def test_report_names_the_trace_model_engine(self, engine):
+        # Only the trace-driven model has engines; the event model has
+        # one dispatch, so the report records what the trace model ran.
+        workload = generate(3)
+        report = run_parity(
+            workload.program,
+            workload.hierarchy,
+            BASELINE,
+            engine=engine,
+            max_instructions=20_000,
+            workload=workload.name,
+        )
+        assert report.ok, report.render()
+        assert report.engine == engine
+
     def test_parity_metrics_counted(self):
         from repro.obs import get_registry, reset_registry
 
