@@ -27,6 +27,8 @@ import pytest
 from repro.harness.artifacts import ArtifactCache
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.parallel import SweepExecutor
+from repro.harness.report import render_perf
+from repro.obs import get_registry
 from repro.workloads.suite import SUITE
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -52,9 +54,10 @@ def _perf_report(runner):
     """Write the session's harness-performance report on teardown."""
     yield
     RESULTS_DIR.mkdir(exist_ok=True)
-    report = runner.perf.render(
+    report = render_perf(
+        get_registry().snapshot(),
         title="Harness performance (bench session: stage compute seconds "
-        "and cache hits)"
+        "and cache hits)",
     )
     (RESULTS_DIR / "perf_harness.txt").write_text(report + "\n")
 

@@ -53,7 +53,7 @@ from repro.harness.figures import (
     figure8b_processor_width,
 )
 from repro.harness.parallel import SweepExecutor
-from repro.harness.report import publish_harness_metrics
+from repro.harness.report import render_perf
 from repro.harness.tables import render_table1, render_table2, table1, table2
 from repro.obs import (
     check_snapshot,
@@ -102,15 +102,10 @@ def _executor(args: argparse.Namespace) -> SweepExecutor:
         raise SystemExit(f"error: {error}")
 
 
-def _print_perf(args: argparse.Namespace, executor: SweepExecutor) -> None:
+def _print_perf(args: argparse.Namespace) -> None:
     if getattr(args, "perf", False):
         print()
-        print(executor.perf.render())
-
-
-def _publish_harness(perf, artifacts) -> None:
-    """Fold harness counters into the global registry (export surface)."""
-    publish_harness_metrics(perf, artifacts)
+        print(render_perf(get_registry().snapshot()))
 
 
 def _export_observability(args: argparse.Namespace) -> None:
@@ -121,7 +116,14 @@ def _export_observability(args: argparse.Namespace) -> None:
         print(f"wrote {trace_path}")
     metrics_path = getattr(args, "metrics", None)
     if metrics_path:
-        write_snapshot(metrics_path, get_registry())
+        registry = get_registry()
+        artifacts = _artifacts(args)
+        # The store-size gauges exist once a runner registered them; set
+        # them here, once, since measuring the store stats every file.
+        registered = registry.get("harness.cache.bytes") is not None
+        if artifacts is not None and registered:
+            artifacts.publish_metrics(registry)
+        write_snapshot(metrics_path, registry)
         print(f"wrote {metrics_path}")
 
 
@@ -176,10 +178,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         f"\nspeedup {result.speedup:+.1%}  coverage {result.coverage:.1%} "
         f"(full {result.full_coverage:.1%})"
     )
-    if getattr(args, "perf", False):
-        print()
-        print(runner.perf.render())
-    _publish_harness(runner.perf, runner.artifacts)
+    _print_perf(args)
 
 
 def _cmd_table(args: argparse.Namespace) -> None:
@@ -191,8 +190,7 @@ def _cmd_table(args: argparse.Namespace) -> None:
         print(render_table1(table1(workloads=workloads, executor=executor)))
     else:
         print(render_table2(table2(workloads=workloads, executor=executor)))
-    _print_perf(args, executor)
-    _publish_harness(executor.perf, executor.artifacts)
+    _print_perf(args)
 
 
 def _cmd_figure(args: argparse.Namespace) -> None:
@@ -206,8 +204,7 @@ def _cmd_figure(args: argparse.Namespace) -> None:
             f"unknown figure {args.which!r}; known: {sorted(_FIGURES)}"
         )
     print(figure_fn(workloads=workloads, executor=executor).render())
-    _print_perf(args, executor)
-    _publish_harness(executor.perf, executor.artifacts)
+    _print_perf(args)
 
 
 def _cmd_cache(args: argparse.Namespace) -> None:
@@ -598,7 +595,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         # live numbers from every registered subsystem.
         runner = ExperimentRunner(artifacts=_artifacts(args))
         runner.run(ExperimentConfig(workload=args.workload))
-        _publish_harness(runner.perf, runner.artifacts)
+        if runner.artifacts is not None:
+            runner.artifacts.publish_metrics(get_registry())
         doc = snapshot_document(get_registry())
         metrics = doc["metrics"]
     if args.format == "json":
@@ -800,8 +798,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (default 8421; 0 picks an ephemeral port)",
     )
     serve_parser.add_argument(
-        "--workers", type=int, default=2,
-        help="worker threads executing experiment batches (default 2)",
+        "--workers", type=int, default=1,
+        help="worker threads executing experiment batches (default 1)",
     )
     serve_parser.add_argument(
         "--queue-size", type=int, default=32,

@@ -1,6 +1,6 @@
 """Experiment harness: pipeline, parallel sweeps, caching, reporting."""
 
-from repro.harness.artifacts import ArtifactCache, PerfCounters, stable_key
+from repro.harness.artifacts import ArtifactCache, stable_key
 from repro.harness.experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -40,7 +40,6 @@ __all__ = [
     "ExperimentRunner",
     "FIGURE_METRICS",
     "FigureData",
-    "PerfCounters",
     "SweepError",
     "SweepExecutor",
     "Table1Row",

@@ -10,28 +10,24 @@ One :class:`ExperimentRunner` reproduces the paper's tool flow:
 4. pre-execution timing simulation (plus the overhead-only /
    latency-only validation modes on request) → measured statistics.
 
-Traces and baseline runs are cached per (workload, input, hierarchy,
-machine) so parameter sweeps (Figures 4–8) only repeat the stages they
-vary.
+Traces, baseline runs and selections are cached per (workload, input,
+hierarchy, machine, ...) so parameter sweeps (Figures 4–8) only repeat
+the stages they vary.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.report import assert_clean, verification_enabled
 from repro.engine.functional import FunctionalResult, run_program
-from repro.harness.artifacts import (
-    ArtifactCache,
-    PerfCounters,
-    program_digest,
-    stable_key,
-)
+from repro.harness.artifacts import ArtifactCache, program_digest, stable_key
 from repro.memory.hierarchy import HierarchyConfig
 from repro.model.params import ModelParams, SelectionConstraints
-from repro.obs import get_tracer
+from repro.obs import get_registry, get_tracer
 from repro.selection.granularity import select_by_region
 from repro.selection.program_selector import ProgramSelection, select_pthreads
 from repro.timing.config import (
@@ -175,15 +171,66 @@ class ExperimentDeadlineError(RuntimeError):
         self.partial = partial
 
 
-class ExperimentRunner:
-    """Pipeline driver with trace/baseline caching across sweep cells.
+#: Stages the runner accounts under ``harness.stage.<stage>.*``.  The
+#: first four are cached (and are artifact-store kinds); ``timing`` and
+#: ``validation`` always compute.
+HARNESS_STAGES = (
+    "trace", "baseline", "perfect_l2", "selection", "timing", "validation"
+)
 
-    Two cache layers back every expensive stage: an in-memory dict for
-    repeats within this process, and (when ``artifacts`` is given) the
-    persistent content-addressed :class:`ArtifactCache`, which survives
-    across sessions and is shared by the worker processes of a parallel
-    sweep.  ``perf`` accumulates per-stage compute seconds and
-    hit/miss counters for both layers.
+#: Bucket bounds (seconds) of the ``harness.stage.<stage>.seconds``
+#: histograms: one observation per computation.
+STAGE_SECONDS_BUCKETS = (0.01, 0.1, 1, 10, 100)
+
+
+def _register_metrics(registry) -> None:
+    """Register every harness metric, so a snapshot carries them all
+    before the first stage runs (the size gauges stay 0 until a
+    snapshot-taker sets them from the store)."""
+    for outcome in ("hits", "disk_hits", "misses"):
+        registry.counter(f"harness.cache.{outcome}")
+    registry.gauge("harness.cache.entries")
+    registry.gauge("harness.cache.bytes")
+    for stage in HARNESS_STAGES:
+        for name in ("hits", "disk_hits", "instructions"):
+            registry.counter(f"harness.stage.{stage}.{name}")
+        registry.histogram(
+            f"harness.stage.{stage}.seconds", buckets=STAGE_SECONDS_BUCKETS
+        )
+
+
+def _count(stage: str, outcome: str) -> None:
+    """One request for ``stage`` served from memory (``hits``) or the
+    store (``disk_hits``)."""
+    registry = get_registry()
+    registry.counter(f"harness.cache.{outcome}").inc()
+    registry.counter(f"harness.stage.{stage}.{outcome}").inc()
+
+
+def _computed(stage: str, seconds: float, instructions: int = 0) -> None:
+    """One computation of ``stage`` (a ``harness.cache.misses``)."""
+    registry = get_registry()
+    registry.counter("harness.cache.misses").inc()
+    registry.histogram(
+        f"harness.stage.{stage}.seconds", buckets=STAGE_SECONDS_BUCKETS
+    ).observe(seconds)
+    registry.counter(f"harness.stage.{stage}.instructions").inc(instructions)
+
+
+class ExperimentRunner:
+    """Pipeline driver with trace/baseline/selection caching across cells.
+
+    Two cache layers back every expensive stage, both addressed by one
+    :func:`stable_key` per entry: an in-memory dict for repeats within
+    this process, and (when ``artifacts`` is given) the persistent
+    content-addressed :class:`ArtifactCache`, which survives across
+    sessions and is shared by the worker processes of a parallel sweep.
+
+    Every stage outcome is counted straight into the metrics registry
+    (``get_registry()`` at the time of the event, so a sweep worker's
+    per-cell registry sees its own cells): the ``harness.cache.*``
+    totals plus ``harness.stage.<stage>.*`` per stage.  Concurrent
+    callers of one key (serve's thread pool) compute it once.
     """
 
     def __init__(
@@ -193,12 +240,10 @@ class ExperimentRunner:
     ) -> None:
         self.max_instructions = max_instructions
         self.artifacts = artifacts
-        self.perf = PerfCounters()
         self._workloads: Dict[Tuple, Workload] = {}
-        self._traces: Dict[Tuple, FunctionalResult] = {}
-        self._baselines: Dict[Tuple, SimStats] = {}
-        self._perfect: Dict[Tuple, SimStats] = {}
-        self._selections: Dict[str, ProgramSelection] = {}
+        self._memo: Dict[str, object] = {}
+        self._locks: Dict[str, threading.Lock] = {}
+        _register_metrics(get_registry())
 
     # -- cached stages --------------------------------------------------
 
@@ -218,156 +263,94 @@ class ExperimentRunner:
         return self._workloads[key]
 
     def trace(self, workload: Workload) -> FunctionalResult:
-        key = (workload.name, workload.input_name, workload.hierarchy)
-        cached = self._traces.get(key)
-        if cached is not None:
-            self.perf.hit("trace")
-            return cached
-        result = self._trace_from_disk(workload)
-        if result is None:
-            self.perf.miss("trace")
-            start = time.perf_counter()
-            result = run_program(
+        return self._cached(
+            "trace",
+            self._stage_key("trace", workload),
+            lambda: run_program(
                 workload.program,
                 workload.hierarchy,
                 max_instructions=self.max_instructions,
-            )
-            self.perf.add_time("trace", time.perf_counter() - start)
-            self.perf.add_instructions("trace", result.instructions)
-            self._trace_to_disk(workload, result)
-        self._traces[key] = result
-        return result
-
-    def baseline(self, workload: Workload, machine: MachineConfig) -> SimStats:
-        key = (workload.name, workload.input_name, workload.hierarchy, machine)
-        if key not in self._baselines:
-            self._baselines[key] = self._timed_stats(
-                "baseline", BASELINE, workload, machine
-            )
-        else:
-            self.perf.hit("baseline")
-        return self._baselines[key]
-
-    def perfect_l2(self, workload: Workload, machine: MachineConfig) -> SimStats:
-        key = (workload.name, workload.input_name, workload.hierarchy, machine)
-        if key not in self._perfect:
-            self._perfect[key] = self._timed_stats(
-                "perfect_l2", PERFECT_L2, workload, machine
-            )
-        else:
-            self.perf.hit("perfect_l2")
-        return self._perfect[key]
-
-    # -- persistent-cache plumbing --------------------------------------
-
-    def _trace_key(self, workload: Workload) -> str:
-        return self.artifacts.key(
-            "trace",
-            program=program_digest(workload.program),
-            workload=workload.name,
-            input=workload.input_name,
-            hierarchy=workload.hierarchy,
-            max_instructions=self.max_instructions,
+            ),
+            codec=FunctionalResult,
         )
 
-    def _trace_from_disk(self, workload: Workload) -> Optional[FunctionalResult]:
-        if self.artifacts is None:
-            return None
-        payload = self.artifacts.load("trace", self._trace_key(workload))
-        if payload is None:
-            return None
-        self.perf.disk_hit("trace")
-        return FunctionalResult.from_dict(payload)
+    def baseline(self, workload: Workload, machine: MachineConfig) -> SimStats:
+        return self._cached(
+            "baseline",
+            self._stage_key("baseline", workload, machine=machine),
+            lambda: TimingSimulator(
+                workload.program, workload.hierarchy, machine
+            ).run(BASELINE, max_instructions=self.max_instructions),
+            codec=SimStats,
+        )
 
-    def _trace_to_disk(self, workload: Workload, result: FunctionalResult) -> None:
-        if self.artifacts is not None:
-            self.artifacts.store(
-                "trace", self._trace_key(workload), result.to_dict()
-            )
+    def perfect_l2(self, workload: Workload, machine: MachineConfig) -> SimStats:
+        return self._cached(
+            "perfect_l2",
+            self._stage_key("perfect_l2", workload, machine=machine),
+            lambda: TimingSimulator(
+                workload.program, workload.hierarchy, machine
+            ).run(PERFECT_L2, max_instructions=self.max_instructions),
+            codec=SimStats,
+        )
 
-    def _stats_key(
-        self, kind: str, workload: Workload, machine: MachineConfig
-    ) -> str:
-        return self.artifacts.key(
+    # -- one memory -> store -> compute path ----------------------------
+
+    def _stage_key(self, kind: str, workload: Workload, **parts) -> str:
+        """The store key of one stage output (also its memory key)."""
+        return stable_key(
             kind,
             program=program_digest(workload.program),
             workload=workload.name,
             input=workload.input_name,
             hierarchy=workload.hierarchy,
-            machine=machine,
             max_instructions=self.max_instructions,
+            **parts,
         )
 
-    def _timed_stats(
-        self, kind: str, mode, workload: Workload, machine: MachineConfig
-    ) -> SimStats:
-        """One baseline-family timing simulation, through both caches."""
+    def _cached(self, kind: str, key: str, compute: Callable, codec=None):
+        """``kind``'s output under ``key``: from memory, the store, or
+        ``compute()``, in that order.
+
+        ``codec`` (a class with ``to_dict``/``from_dict``) converts the
+        JSON kinds; ``None`` stores the object itself (the pickle kind).
+        A lock per key makes concurrent callers of one key compute it
+        once, and never holds up callers of another key.
+        """
+        value = self._memo.get(key)
+        if value is None:
+            # dict.setdefault is atomic for str keys, so every caller of
+            # one key gets the same lock.
+            with self._locks.setdefault(key, threading.Lock()):
+                value = self._memo.get(key)
+                if value is None:
+                    value = self._memo[key] = self._load_or_compute(
+                        kind, key, compute, codec
+                    )
+                    return value
+        _count(kind, "hits")
+        return value
+
+    def _load_or_compute(self, kind: str, key: str, compute: Callable, codec):
         if self.artifacts is not None:
-            key = self._stats_key(kind, workload, machine)
             payload = self.artifacts.load(kind, key)
             if payload is not None:
-                self.perf.disk_hit(kind)
-                return SimStats.from_dict(payload)
-        self.perf.miss(kind)
+                _count(kind, "disk_hits")
+                return payload if codec is None else codec.from_dict(payload)
         start = time.perf_counter()
-        sim = TimingSimulator(workload.program, workload.hierarchy, machine)
-        stats = sim.run(mode, max_instructions=self.max_instructions)
-        self.perf.add_time(kind, time.perf_counter() - start)
-        self.perf.add_instructions(kind, stats.instructions)
-        if self.artifacts is not None:
-            self.artifacts.store(kind, key, stats.to_dict())
-        return stats
-
-    def _cached_selection(
-        self,
-        profile_workload: Workload,
-        profile_trace: FunctionalResult,
-        params: ModelParams,
-        constraints: SelectionConstraints,
-        region: Optional[Tuple[int, int]],
-        lmem_overrides: Optional[Dict[int, float]],
-    ) -> ProgramSelection:
-        """Whole-run p-thread selection, through both cache layers."""
-        key = stable_key(
-            "selection",
-            program=program_digest(profile_workload.program),
-            workload=profile_workload.name,
-            input=profile_workload.input_name,
-            hierarchy=profile_workload.hierarchy,
-            params=params,
-            constraints=constraints,
-            region=list(region) if region is not None else None,
-            lmem_overrides=lmem_overrides,
-            max_instructions=self.max_instructions,
+        value = compute()
+        # Traces and SimStats count simulated instructions; selections
+        # have none.
+        _computed(
+            kind,
+            time.perf_counter() - start,
+            getattr(value, "instructions", 0),
         )
-        cached = self._selections.get(key)
-        if cached is not None:
-            self.perf.hit("selection")
-            return cached
-        selection = None
         if self.artifacts is not None:
-            selection = self.artifacts.load("selection", key)
-            if selection is not None:
-                self.perf.disk_hit("selection")
-        if selection is None:
-            self.perf.miss("selection")
-            start = time.perf_counter()
-            with get_tracer().span(
-                "slice+select", workload=profile_workload.name
-            ):
-                selection = select_pthreads(
-                    profile_workload.program,
-                    profile_trace.trace,
-                    params,
-                    constraints=constraints,
-                    region=region,
-                    lmem_overrides=lmem_overrides,
-                )
-            self.perf.add_time("selection", time.perf_counter() - start)
-            if self.artifacts is not None:
-                self.artifacts.store("selection", key, selection)
-        self._selections[key] = selection
-        return selection
+            self.artifacts.store(
+                kind, key, value if codec is None else value.to_dict()
+            )
+        return value
 
     # -- pipeline -------------------------------------------------------
 
@@ -478,7 +461,6 @@ class ExperimentRunner:
                 # (a per-region activation schedule) is not content-
                 # addressable by the same small key, and Figure 6 is the
                 # only user.
-                self.perf.miss("selection")
                 start = time.perf_counter()
                 granular = select_by_region(
                     profile_workload.program,
@@ -493,7 +475,7 @@ class ExperimentRunner:
                 selection = _aggregate_regions(
                     granular, params, config.constraints
                 )
-                self.perf.add_time("selection", time.perf_counter() - start)
+                _computed("selection", time.perf_counter() - start)
             else:
                 region = None
                 if config.selection_prefix is not None:
@@ -504,13 +486,31 @@ class ExperimentRunner:
                         pc: base.effective_latency(pc, params.mem_latency)
                         for pc in base.miss_exposure
                     }
-                selection = self._cached_selection(
-                    profile_workload,
-                    profile_trace,
-                    params,
-                    config.constraints,
-                    region,
-                    lmem_overrides,
+
+                def select() -> ProgramSelection:
+                    with tracer.span(
+                        "slice+select", workload=profile_workload.name
+                    ):
+                        return select_pthreads(
+                            profile_workload.program,
+                            profile_trace.trace,
+                            params,
+                            constraints=config.constraints,
+                            region=region,
+                            lmem_overrides=lmem_overrides,
+                        )
+
+                selection = self._cached(
+                    "selection",
+                    self._stage_key(
+                        "selection",
+                        profile_workload,
+                        params=params,
+                        constraints=config.constraints,
+                        region=region,
+                        lmem_overrides=lmem_overrides,
+                    ),
+                    select,
                 )
         timings["selection"] = selection_span.duration
 
@@ -551,10 +551,10 @@ class ExperimentRunner:
             preexec = simulate(PRE_EXECUTION)
         elapsed = timing_span.duration
         timings["timing"] = elapsed
-        self.perf.miss("timing")
-        self.perf.add_time("timing", elapsed)
-        self.perf.add_instructions(
-            "timing", preexec.instructions + preexec.pthread_instructions
+        _computed(
+            "timing",
+            elapsed,
+            preexec.instructions + preexec.pthread_instructions,
         )
         validation: Dict[str, SimStats] = {}
         if config.validate:
@@ -565,8 +565,7 @@ class ExperimentRunner:
                 validation["latency_only"] = simulate(LATENCY_ONLY)
             elapsed = validation_span.duration
             timings["validation"] = elapsed
-            self.perf.miss("validation")
-            self.perf.add_time("validation", elapsed)
+            _computed("validation", elapsed)
             # perfect_l2 times/counts itself (it has its own cache).
             with tracer.span("validation", kind="perfect_l2"):
                 validation["perfect_l2"] = self.perfect_l2(

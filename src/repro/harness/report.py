@@ -7,7 +7,7 @@ so every number is directly comparable with the published chart.
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 
 def fmt(value: Any, precision: int = 2) -> str:
@@ -50,8 +50,41 @@ def render_table(
     return "\n".join(out)
 
 
-def render_perf(perf, title: str = "Harness performance") -> str:
-    """Render a :class:`~repro.harness.artifacts.PerfCounters` report.
+def harness_stages(
+    metrics: Mapping[str, Mapping[str, Any]]
+) -> Dict[str, Dict[str, Any]]:
+    """Per-stage harness accounting, read back from a metrics snapshot.
+
+    ``metrics`` is a registry snapshot (name -> entry).  Each stage with
+    any activity maps to its compute ``seconds`` and ``computed`` count
+    (the ``harness.stage.<stage>.seconds`` histogram's sum and count),
+    its in-memory ``hits``, store ``disk_hits`` and simulated
+    ``instructions``.
+    """
+    prefix = "harness.stage."
+    stages: Dict[str, Dict[str, Any]] = {}
+    for name, entry in metrics.items():
+        if not name.startswith(prefix):
+            continue
+        stage, field = name[len(prefix):].rsplit(".", 1)
+        row = stages.setdefault(
+            stage,
+            dict(seconds=0.0, computed=0, hits=0, disk_hits=0, instructions=0),
+        )
+        if field == "seconds":
+            row["seconds"] = entry["sum"]
+            row["computed"] = entry["count"]
+        else:
+            row[field] = entry["value"]
+    return {
+        stage: row
+        for stage, row in sorted(stages.items())
+        if row["computed"] or row["hits"] or row["disk_hits"]
+    }
+
+
+def render_perf(metrics, title: str = "Harness performance") -> str:
+    """Render the harness stage report of a metrics snapshot.
 
     One row per pipeline stage / cache kind: compute seconds, then how
     the requests for that artifact were satisfied (computed fresh,
@@ -59,73 +92,29 @@ def render_perf(perf, title: str = "Harness performance") -> str:
     (million simulated instructions per compute-second) for stages
     that record instruction counts.
     """
-    stages = sorted(
-        set(perf.stage_seconds)
-        | set(perf.hits)
-        | set(perf.disk_hits)
-        | set(perf.misses)
-    )
+    stages = harness_stages(metrics)
 
     def mips(instructions, seconds):
         if not instructions or seconds <= 0:
             return ""
         return f"{instructions / seconds / 1e6:.2f}"
 
+    columns = ("seconds", "computed", "hits", "disk_hits")
+    totals = {
+        column: sum(row[column] for row in stages.values())
+        for column in columns + ("instructions",)
+    }
     rows = [
-        [
-            stage,
-            perf.stage_seconds.get(stage, 0.0),
-            perf.misses.get(stage, 0),
-            perf.hits.get(stage, 0),
-            perf.disk_hits.get(stage, 0),
-            mips(
-                perf.instructions.get(stage, 0),
-                perf.stage_seconds.get(stage, 0.0),
-            ),
-        ]
-        for stage in stages
+        [name, *(row[c] for c in columns)]
+        + [mips(row["instructions"], row["seconds"])]
+        for name, row in [*stages.items(), ("total", totals)]
     ]
-    rows.append(
-        [
-            "total",
-            sum(perf.stage_seconds.values()),
-            sum(perf.misses.values()),
-            sum(perf.hits.values()),
-            sum(perf.disk_hits.values()),
-            mips(
-                sum(perf.instructions.values()),
-                sum(perf.stage_seconds.values()),
-            ),
-        ]
-    )
     return render_table(
         ["stage", "compute(s)", "computed", "mem hits", "disk hits", "MIPS"],
         rows,
         title=title,
         precision=3,
     )
-
-
-def publish_harness_metrics(perf, artifacts=None, registry=None):
-    """Bridge harness telemetry into the metrics registry.
-
-    Folds a :class:`~repro.harness.artifacts.PerfCounters` (and, when
-    present, the :class:`~repro.harness.artifacts.ArtifactCache` size
-    gauges) into ``registry`` — the step that turns the harness's
-    accumulation objects into the single exportable snapshot.  With no
-    persistent cache the size gauges are registered at zero so the
-    metric names stay stable either way.  Returns the registry.
-    """
-    from repro.obs import get_registry
-
-    registry = registry if registry is not None else get_registry()
-    perf.publish_metrics(registry)
-    if artifacts is not None:
-        artifacts.publish_metrics(registry)
-    else:
-        registry.gauge("harness.cache.entries").set(0)
-        registry.gauge("harness.cache.bytes").set(0)
-    return registry
 
 
 def render_series(

@@ -127,15 +127,17 @@ def measure_timing(
 #: Everything else in a Table 2 run — slice-tree construction,
 #: candidate selection, p-thread verification — is engine-independent
 #: analysis and typically dominates the wall-clock.
-_SIM_STAGES = frozenset({"trace", "baseline", "timing"})
+SIM_STAGES = frozenset({"trace", "baseline", "timing"})
 
 
-def _stage_seconds(span: Dict, names: frozenset) -> float:
+def sim_stage_seconds(spans: Sequence[Dict]) -> float:
+    """Seconds the span trees ``spans`` (span dicts) spent in
+    :data:`SIM_STAGES`."""
     total = 0.0
-    if span.get("name") in names:
-        total += span.get("duration", 0.0)
-    for child in span.get("children", ()):
-        total += _stage_seconds(child, names)
+    for span in spans:
+        if span.get("name") in SIM_STAGES:
+            total += span.get("duration", 0.0)
+        total += sim_stage_seconds(span.get("children", ()))
     return total
 
 
@@ -144,7 +146,7 @@ def _table2_once(workloads: Sequence[str], engine: str) -> Tuple[float, float]:
 
     Returns ``(total_seconds, sim_seconds)``: the end-to-end
     wall-clock and the portion spent in the simulation stages
-    (:data:`_SIM_STAGES`, read from a private span tracer).  Cold
+    (:data:`SIM_STAGES`, read from a private span tracer).  Cold
     means *fully* cold: the harness artifact cache is bypassed and the
     codegen cache — persistent and in-process — is cleared, so every
     engine pays its real start-up cost.
@@ -176,11 +178,7 @@ def _table2_once(workloads: Sequence[str], engine: str) -> Tuple[float, float]:
             else:
                 os.environ[name] = value
         reset_code_cache()
-    sim = sum(
-        _stage_seconds(span, _SIM_STAGES)
-        for span in tracer.to_dict()["spans"]
-    )
-    return total, sim
+    return total, sim_stage_seconds(tracer.to_dict()["spans"])
 
 
 def _table2_seconds(

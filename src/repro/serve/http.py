@@ -25,7 +25,7 @@ import asyncio
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from repro.obs import get_registry, snapshot_document, to_prometheus
+from repro.obs import to_prometheus
 from repro.serve.protocol import (
     ProtocolError,
     error_payload,
@@ -194,12 +194,15 @@ class ReproServer:
                 _JSON_CONTENT_TYPE,
                 {},
             )
-        if path == "/metrics":
-            doc = snapshot_document(get_registry())
-            text = to_prometheus(doc["metrics"])
-            return 200, text.encode("utf-8"), _PROM_CONTENT_TYPE, {}
-        if path == "/metrics/json":
-            doc = snapshot_document(get_registry())
+        if path in ("/metrics", "/metrics/json"):
+            # Measuring the store stats every stored file: keep that off
+            # the event loop.
+            doc = await asyncio.get_running_loop().run_in_executor(
+                None, self.state.metrics_document
+            )
+            if path == "/metrics":
+                text = to_prometheus(doc["metrics"])
+                return 200, text.encode("utf-8"), _PROM_CONTENT_TYPE, {}
             return (
                 200,
                 (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(),

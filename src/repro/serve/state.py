@@ -36,8 +36,12 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.harness.artifacts import ArtifactCache
 from repro.harness.experiment import ExperimentResult, ExperimentRunner
 from repro.harness.parallel import SweepExecutor
-from repro.harness.report import publish_harness_metrics
-from repro.obs import get_registry, get_tracer
+from repro.obs import (
+    METRIC_CATALOG,
+    get_registry,
+    get_tracer,
+    snapshot_document,
+)
 from repro.serve.protocol import (
     RunRequest,
     partial_payload,
@@ -55,7 +59,9 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8421
-    workers: int = 2
+    #: One by default: the GIL lets no two requests compute in parallel,
+    #: so more threads only time-slice them, stretching the long ones.
+    workers: int = 1
     queue_size: int = 32
     batch_max: int = 4
     max_instructions: int = 10_000_000
@@ -119,6 +125,10 @@ class ServerState:
 
     def _register_metrics(self) -> None:
         registry = get_registry()
+        # The whole catalog at zero, so a scrape before the first
+        # request already passes ``repro obs check``.
+        for name, kind in METRIC_CATALOG.items():
+            getattr(registry, kind)(name)
         for name in (
             "serve.requests.total",
             "serve.requests.ok",
@@ -134,6 +144,17 @@ class ServerState:
 
     def _count(self, name: str, amount: int = 1) -> None:
         get_registry().counter(name).inc(amount)
+
+    def metrics_document(self) -> Dict[str, Any]:
+        """The registry snapshot ``/metrics`` serves.
+
+        The store-size gauges are set here, at scrape time: measuring
+        the store stats every stored file, too slow to do per request.
+        """
+        registry = get_registry()
+        if self.runner.artifacts is not None:
+            self.runner.artifacts.publish_metrics(registry)
+        return snapshot_document(registry)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -257,10 +278,6 @@ class ServerState:
             else:
                 self._count("serve.requests.budget_exceeded")
             self._record(job.request_id, job.request, payload, spans)
-            # Publish harness/cache gauges *before* resolving the future:
-            # a client scraping /metrics right after its response must
-            # see a snapshot that passes the catalog check.
-            publish_harness_metrics(self.runner.perf, self.runner.artifacts)
             job.loop.call_soon_threadsafe(_resolve, job.future, payload, None)
 
     def _execute(self, request: RunRequest) -> Dict[str, Any]:

@@ -1,12 +1,22 @@
-"""Shared fixtures: small programs, caches, and a cached pharmacy run."""
+"""Shared fixtures: small programs, caches, a cached pharmacy run, and
+an isolated metrics registry."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.engine import run_program
+from repro.harness.report import harness_stages
 from repro.isa import DataImage, assemble
 from repro.memory import CacheConfig, HierarchyConfig
+from repro.obs import (
+    get_registry,
+    get_tracer,
+    reset_registry,
+    reset_tracer,
+    set_registry,
+    set_tracer,
+)
 from repro.workloads import pharmacy
 
 #: A small hierarchy so tiny test programs still see L2 misses.
@@ -58,3 +68,22 @@ def pharmacy_small():
 def pharmacy_small_run(pharmacy_small):
     """Functional trace of the small pharmacy program."""
     return run_program(pharmacy_small, TINY_HIERARCHY)
+
+
+@pytest.fixture
+def fresh_obs():
+    """Fresh global tracer/registry for the test, restored afterwards."""
+    old_tracer = get_tracer()
+    old_registry = get_registry()
+    tracer = reset_tracer()
+    registry = reset_registry()
+    yield tracer, registry
+    set_tracer(old_tracer)
+    set_registry(old_registry)
+
+
+@pytest.fixture
+def stage_counts(fresh_obs):
+    """Reads the per-stage harness counts of the current global registry
+    (see :func:`~repro.harness.report.harness_stages`)."""
+    return lambda: harness_stages(get_registry().snapshot())

@@ -14,7 +14,7 @@ import pytest
 
 from repro.engine import compiler
 from repro.engine import functional as functional_module
-from repro.engine.codecache import get_code_cache, reset_code_cache
+from repro.engine.codecache import reset_code_cache
 from repro.engine.compiler import (
     ENGINE_COMPILED,
     ENGINE_INTERP,
@@ -24,6 +24,7 @@ from repro.engine.compiler import (
 from repro.engine.functional import FunctionalSimulator
 from repro.isa import assemble
 from repro.memory.hierarchy import HierarchyConfig
+from repro.obs import get_registry, reset_registry
 from repro.timing.core import TimingSimulator
 
 #: A hot loop (3000 iterations, ~9000 instructions — comfortably past
@@ -182,15 +183,27 @@ class TestEagerCompile:
         assert requested == [EAGER_TIMING_KEY]
 
 
+def _codegen_counts():
+    """``(hits, misses)`` of the codegen store in the global registry."""
+    registry = get_registry()
+    return (
+        registry.counter("engine.codegen.cache_hits").value,
+        registry.counter("engine.codegen.cache_misses").value,
+    )
+
+
 class TestCodeCache:
-    def test_warm_disk_hit_skips_emission(self, cache_dir, monkeypatch):
+    def test_warm_disk_hit_skips_emission(
+        self, cache_dir, fresh_obs, monkeypatch
+    ):
         program = _program()
         _sim, cold = _run(program, ENGINE_COMPILED)
-        assert get_code_cache().perf.misses.get("codegen", 0) >= 1
+        assert _codegen_counts()[1] >= 1
 
         # Fresh process-state: new singleton, new simulator, and source
         # emission booby-trapped — the warm run must never reach it.
         reset_code_cache()
+        reset_registry()
 
         def boom(*args, **kwargs):
             raise AssertionError("emission not skipped on warm cache")
@@ -199,21 +212,24 @@ class TestCodeCache:
         sim, warm = _run(program, ENGINE_COMPILED)
         assert sim.last_engine == ENGINE_COMPILED
         assert warm.to_dict() == cold.to_dict()
-        cache = get_code_cache()
-        assert cache.perf.disk_hits.get("codegen", 0) >= 1
-        assert cache.perf.misses.get("codegen", 0) == 0
+        hits, misses = _codegen_counts()
+        assert hits >= 1
+        assert misses == 0
 
-    def test_tiered_engine_hits_the_same_cache(self, cache_dir, monkeypatch):
+    def test_tiered_engine_hits_the_same_cache(
+        self, cache_dir, fresh_obs, monkeypatch
+    ):
         monkeypatch.setattr(compiler, "TIER_THRESHOLD", 10)
         program = _program()
         _sim, cold = _run(program, ENGINE_TIERED)
         reset_code_cache()
+        reset_registry()
         sim, warm = _run(program, ENGINE_TIERED)
         assert sim.last_tier["tier_ups"] >= 1
         assert warm.to_dict() == cold.to_dict()
-        assert get_code_cache().perf.disk_hits.get("codegen", 0) >= 1
+        assert _codegen_counts()[0] >= 1
 
-    def test_corrupt_entry_falls_back_to_recompile(self, cache_dir):
+    def test_corrupt_entry_falls_back_to_recompile(self, cache_dir, fresh_obs):
         program = _program()
         _sim, cold = _run(program, ENGINE_COMPILED)
         entries = list(cache_dir.glob("codegen/*/*.json"))
@@ -222,8 +238,9 @@ class TestCodeCache:
             entry.write_text("{definitely not json")
 
         reset_code_cache()
+        reset_registry()
         sim, warm = _run(program, ENGINE_COMPILED)
         assert sim.last_engine == ENGINE_COMPILED
         assert warm.to_dict() == cold.to_dict()
         # The corrupt load counted as a miss and was recomputed.
-        assert get_code_cache().perf.misses.get("codegen", 0) >= 1
+        assert _codegen_counts()[1] >= 1

@@ -1,4 +1,4 @@
-"""Tests for the persistent artifact cache and perf counters."""
+"""Tests for the persistent artifact cache and the runner's use of it."""
 
 import json
 import os
@@ -7,14 +7,10 @@ import threading
 
 import pytest
 
-from repro.harness.artifacts import (
-    ArtifactCache,
-    PerfCounters,
-    program_digest,
-    stable_key,
-)
+from repro.harness.artifacts import ArtifactCache, program_digest, stable_key
 from repro.harness.experiment import ExperimentConfig, ExperimentRunner
 from repro.memory.hierarchy import HierarchyConfig
+from repro.obs import reset_registry
 from repro.timing.config import MachineConfig
 from repro.timing.stats import SimStats
 from repro.workloads.suite import build
@@ -186,57 +182,49 @@ class TestStorage:
         assert sum(cache.entry_count().values()) == 0
 
 
-class TestPerfCounters:
-    def test_accumulate_and_merge(self):
-        perf = PerfCounters()
-        perf.add_time("trace", 1.5)
-        perf.miss("trace")
-        perf.hit("baseline")
-        other = PerfCounters()
-        other.add_time("trace", 0.5)
-        other.disk_hit("trace")
-        perf.merge(other)
-        assert perf.stage_seconds["trace"] == 2.0
-        assert perf.misses == {"trace": 1}
-        assert perf.hits == {"baseline": 1}
-        assert perf.disk_hits == {"trace": 1}
-        assert perf.computations() == 1
+#: Store keys of one fixed small config (pharmacy ``SMALL_PHARMACY``
+#: train, default machine and constraints, ``validate=True``), one per
+#: stage kind.  Pinned so a refactor of the runner's stage caches keeps
+#: every store an earlier build filled valid.
+PINNED_STORE_KEYS = {
+    "trace": "f1c52a907789209ba4558b64d78e8c135fb23820fba60e51867b517026645813",
+    "baseline": "b8d45322111cbc66a80f8bda31d999b5a06290b30990294cec63e0eecd934cdb",
+    "perfect_l2": "cf61f1f67972a96f5f1eb5b51b768c232740c4f7240bebdb9cc24d7e83ab3c36",
+    "selection": "66fe97fc8e11054c8b22b43921c816dc3c55bcecfd5243dfeea3e3a1cc4d9f40",
+}
 
-    def test_since_delta(self):
-        perf = PerfCounters()
-        perf.miss("trace")
-        before = perf.snapshot()
-        perf.miss("trace")
-        perf.hit("trace")
-        delta = perf.since(before)
-        assert delta.misses == {"trace": 1}
-        assert delta.hits == {"trace": 1}
 
-    def test_render_mentions_stages(self):
-        perf = PerfCounters()
-        perf.add_time("trace", 0.25)
-        perf.miss("trace")
-        report = perf.render()
-        assert "trace" in report
-        assert "disk hits" in report
+class TestStoreKeys:
+    def test_stage_keys_are_pinned(self, tmp_path):
+        runner = small_runner(tmp_path)
+        runner.run(ExperimentConfig(workload="pharmacy", validate=True))
+        stored = {
+            kind: sorted(p.stem for p in (tmp_path / kind).glob("*/*"))
+            for kind in PINNED_STORE_KEYS
+        }
+        assert stored == {
+            kind: [key] for kind, key in PINNED_STORE_KEYS.items()
+        }
 
 
 class TestRunnerIntegration:
-    def test_warm_cache_rerun_computes_nothing(self, tmp_path):
+    def test_warm_cache_rerun_computes_nothing(self, tmp_path, stage_counts):
         config = ExperimentConfig(workload="pharmacy", validate=True)
+        kinds = ("trace", "baseline", "selection", "perfect_l2")
 
         cold = small_runner(tmp_path)
         first = cold.run(config)
-        assert cold.perf.misses["trace"] == 1
-        assert cold.perf.misses["baseline"] == 1
-        assert cold.perf.misses["selection"] == 1
-        assert cold.perf.misses["perfect_l2"] == 1
+        stages = stage_counts()
+        for kind in kinds:
+            assert stages[kind]["computed"] == 1, kind
 
+        reset_registry()
         warm = small_runner(tmp_path)
         second = warm.run(config)
-        for kind in ("trace", "baseline", "selection", "perfect_l2"):
-            assert warm.perf.misses.get(kind, 0) == 0, kind
-            assert warm.perf.disk_hits[kind] == 1, kind
+        stages = stage_counts()
+        for kind in kinds:
+            assert stages[kind]["computed"] == 0, kind
+            assert stages[kind]["disk_hits"] == 1, kind
         assert second.summary_row() == first.summary_row()
         assert (
             second.validation["perfect_l2"].ipc
@@ -252,8 +240,9 @@ class TestRunnerIntegration:
         payload = json.loads(trace_files[0].read_text())
         assert payload["instructions"] > 0
 
-    def test_disabled_cache_keeps_everything_in_memory(self, tmp_path):
+    def test_disabled_cache_keeps_everything_in_memory(self, stage_counts):
         runner = small_runner(None)
         runner.run(ExperimentConfig(workload="pharmacy"))
-        assert runner.perf.disk_hits == {}
-        assert runner.perf.misses["trace"] == 1
+        stages = stage_counts()
+        assert all(row["disk_hits"] == 0 for row in stages.values())
+        assert stages["trace"]["computed"] == 1

@@ -4,8 +4,13 @@ These are integration-grade but kept fast by overriding workload input
 parameters through the runner's workload cache.
 """
 
+import sys
+import threading
+
 import pytest
 
+from repro.engine.functional import run_program
+from repro.harness import experiment
 from repro.harness.experiment import ExperimentConfig, ExperimentRunner
 from repro.model.params import SelectionConstraints
 from repro.timing.config import MachineConfig
@@ -71,16 +76,14 @@ class TestPipeline:
             assert key in row
 
     def test_caching_reuses_traces(self, runner):
-        runner.run(ExperimentConfig(workload="pharmacy"))
-        traces_before = dict(runner._traces)
-        runner.run(
+        first = runner.run(ExperimentConfig(workload="pharmacy"))
+        second = runner.run(
             ExperimentConfig(
                 workload="pharmacy",
                 constraints=SelectionConstraints(max_pthread_length=16),
             )
         )
-        for key in traces_before:
-            assert runner._traces[key] is traces_before[key]
+        assert second.functional is first.functional
 
 
 class TestStageCaching:
@@ -91,7 +94,7 @@ class TestStageCaching:
         explicit = runner.workload("pharmacy", "train", SUITE_HIERARCHY)
         assert implicit is explicit
 
-    def test_one_trace_computation_across_two_cell_sweep(self):
+    def test_one_trace_computation_across_two_cell_sweep(self, stage_counts):
         runner = fresh_small_runner()
         runner.run(ExperimentConfig(workload="pharmacy"))
         runner.run(
@@ -102,19 +105,58 @@ class TestStageCaching:
         )
         # Both cells share (workload, input, hierarchy): the trace and
         # baseline are computed once and hit in memory the second time.
-        assert runner.perf.misses["trace"] == 1
-        assert runner.perf.hits["trace"] == 1
-        assert runner.perf.misses["baseline"] == 1
-        assert runner.perf.hits["baseline"] == 1
+        stages = stage_counts()
+        assert stages["trace"]["computed"] == 1
+        assert stages["trace"]["hits"] == 1
+        assert stages["baseline"]["computed"] == 1
+        assert stages["baseline"]["hits"] == 1
         # The constraints differ, so selection legitimately reruns.
-        assert runner.perf.misses["selection"] == 2
+        assert stages["selection"]["computed"] == 2
 
-    def test_perfect_l2_cached_like_baseline(self):
+    def test_perfect_l2_cached_like_baseline(self, stage_counts):
         runner = fresh_small_runner()
         runner.run(ExperimentConfig(workload="pharmacy", validate=True))
         runner.run(ExperimentConfig(workload="pharmacy", validate=True))
-        assert runner.perf.misses["perfect_l2"] == 1
-        assert runner.perf.hits["perfect_l2"] == 1
+        stages = stage_counts()
+        assert stages["perfect_l2"]["computed"] == 1
+        assert stages["perfect_l2"]["hits"] == 1
+
+    def test_concurrent_callers_of_one_stage_compute_it_once(
+        self, stage_counts, monkeypatch
+    ):
+        runner = fresh_small_runner()
+        workload = runner.workload("pharmacy", "train")
+        traced = []
+
+        def counting_run_program(*args, **kwargs):
+            traced.append(threading.current_thread().name)
+            return run_program(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_program", counting_run_program)
+        callers = 4
+        barrier = threading.Barrier(callers, timeout=30)
+        results = []
+
+        def call() -> None:
+            barrier.wait()
+            results.append(runner.trace(workload))
+
+        threads = [threading.Thread(target=call) for _ in range(callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(traced) == 1
+        assert all(result is results[0] for result in results)
+        stages = stage_counts()
+        assert stages["trace"]["computed"] == 1
+        assert stages["trace"]["hits"] == callers - 1
 
     def test_timings_recorded_per_stage(self, runner):
         result = runner.run(ExperimentConfig(workload="pharmacy"))
@@ -124,7 +166,7 @@ class TestStageCaching:
 
 
 def fresh_small_runner() -> ExperimentRunner:
-    """An unshared runner (counter tests need pristine perf state)."""
+    """An unshared runner (counter tests need pristine stage caches)."""
     runner = ExperimentRunner()
     small = build(
         "pharmacy", "train", n_xact=700, n_drugs=16384, hot_drugs=1024

@@ -95,12 +95,12 @@ class TestSerialPath:
         assert len(excinfo.value.failures) == 1
         assert "nope" in str(excinfo.value)
 
-    def test_single_cell_stays_in_process(self):
+    def test_single_cell_stays_in_process(self, stage_counts):
         # Even with jobs > 1, one cell runs on the shared runner.
         runner = seeded_runner()
         executor = SweepExecutor(jobs=4, runner=runner)
         executor.run([ExperimentConfig(workload="pharmacy")])
-        assert runner.perf.misses["trace"] == 1
+        assert stage_counts()["trace"]["computed"] == 1
 
 
 class TestParallelPath:
@@ -113,14 +113,17 @@ class TestParallelPath:
         assert [r.config for r in results] == TWO_CELLS
         assert [r.summary_row() for r in results] == expected
 
-    def test_parallel_merges_worker_perf(self, small_inputs, tmp_path):
+    def test_parallel_merges_worker_perf(
+        self, small_inputs, tmp_path, stage_counts
+    ):
         executor = SweepExecutor(jobs=2, artifacts=ArtifactCache(tmp_path))
         executor.run(TWO_CELLS)
         # Both cells ran in workers, and every worker computation was
         # shipped back: exactly two pre-execution timing simulations.
-        assert executor.perf.misses["timing"] == 2
-        assert executor.perf.misses["selection"] == 2
-        assert executor.perf.stage_seconds["timing"] > 0
+        stages = stage_counts()
+        assert stages["timing"]["computed"] == 2
+        assert stages["selection"]["computed"] == 2
+        assert stages["timing"]["seconds"] > 0
 
     def test_parallel_cell_error_does_not_kill_sweep(
         self, small_inputs, tmp_path

@@ -7,17 +7,8 @@ import pytest
 from repro.harness.artifacts import ArtifactCache
 from repro.harness.experiment import ExperimentConfig, ExperimentRunner
 from repro.harness.parallel import SweepExecutor
-from repro.harness.report import publish_harness_metrics
 from repro.model.params import SelectionConstraints
-from repro.obs import (
-    check_snapshot,
-    get_registry,
-    get_tracer,
-    load_snapshot,
-    reset_registry,
-    reset_tracer,
-    write_snapshot,
-)
+from repro.obs import check_snapshot, load_snapshot, write_snapshot
 from repro.workloads.suite import build
 
 SMALL_PHARMACY = dict(
@@ -33,20 +24,6 @@ def small_inputs(monkeypatch):
     from repro.workloads import pharmacy
 
     monkeypatch.setitem(pharmacy.INPUTS, "train", dict(SMALL_PHARMACY))
-
-
-@pytest.fixture
-def fresh_obs():
-    """Fresh global tracer/registry for the test, restored afterwards."""
-    from repro.obs import set_registry, set_tracer
-
-    old_tracer = get_tracer()
-    old_registry = get_registry()
-    tracer = reset_tracer()
-    registry = reset_registry()
-    yield tracer, registry
-    set_tracer(old_tracer)
-    set_registry(old_registry)
 
 
 def seeded_runner() -> ExperimentRunner:
@@ -135,12 +112,11 @@ def test_parallel_sweep_merges_worker_spans_and_metrics(
 
 
 def test_snapshot_of_real_run_passes_catalog_check(tmp_path, fresh_obs):
-    """`repro obs check` semantics: a pipeline run + harness publish
-    produces every catalog metric with the pinned type."""
+    """`repro obs check` semantics: a pipeline run produces every catalog
+    metric with the pinned type, the harness counters included."""
     _, registry = fresh_obs
     runner = seeded_runner()
     runner.run(ExperimentConfig(workload="pharmacy"))
-    publish_harness_metrics(runner.perf, runner.artifacts)
     path = tmp_path / "metrics_snapshot.json"
     write_snapshot(path, registry)
     assert check_snapshot(load_snapshot(path)) == []

@@ -17,8 +17,9 @@ import json
 
 import pytest
 
+from repro.harness import experiment
 from repro.harness.experiment import ExperimentRunner
-from repro.obs import check_snapshot, reset_registry
+from repro.obs import check_snapshot, get_registry, reset_registry
 from repro.serve import (
     ReproServer,
     ServeClient,
@@ -27,6 +28,7 @@ from repro.serve import (
     parse_run_request,
     result_payload,
 )
+from repro.timing.core import TimingSimulator
 
 #: Small instruction cap keeps each full pipeline run test-sized.
 MAX_INSTRUCTIONS = 120_000
@@ -211,3 +213,67 @@ def test_backpressure_sheds_with_503_and_retry_after():
             await server.close()
 
     asyncio.run(scenario())
+
+
+def test_cache_misses_count_each_stage_computation_once(
+    fresh_obs, monkeypatch
+):
+    """``harness.cache.misses`` tracks the computations made so far, one
+    per stage computation, across requests served by one daemon."""
+    computations = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            computations.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # Without validation every stage computation is exactly one call of
+    # one of these: trace, selection, baseline/timing simulations.
+    monkeypatch.setattr(
+        experiment, "run_program", counting(experiment.run_program)
+    )
+    monkeypatch.setattr(
+        experiment, "select_pthreads", counting(experiment.select_pthreads)
+    )
+    monkeypatch.setattr(TimingSimulator, "run", counting(TimingSimulator.run))
+    requests = [
+        {"workload": "mcf"},
+        {"workload": "mcf", "constraints": {"max_pthread_length": 16}},
+        {"workload": "mcf", "machine": {"bw_seq": 4}},
+    ]
+    config = ServeConfig(
+        port=0, workers=2, no_cache=True, max_instructions=MAX_INSTRUCTIONS
+    )
+
+    async def scenario():
+        state, server = await _start_daemon(config)
+        client = ServeClient(*server.address)
+        try:
+            status, snapshot = await client.get_json("/metrics/json")
+            assert status == 200
+            assert check_snapshot(snapshot) == []
+            misses = []
+            for doc in requests:
+                status, _, payload = await client.post_json("/v1/run", doc)
+                assert status == 200 and payload["status"] == "ok", payload
+                misses.append(
+                    (
+                        get_registry().counter("harness.cache.misses").value,
+                        len(computations),
+                    )
+                )
+            status, snapshot = await client.get_json("/metrics/json")
+            assert check_snapshot(snapshot) == []
+        finally:
+            await client.close()
+            await server.close()
+        return misses
+
+    misses = asyncio.run(scenario())
+    assert [registered for registered, _ in misses] == [
+        computed for _, computed in misses
+    ]
+    # Each request recomputed something: the three requests differ.
+    assert misses[0][1] < misses[1][1] < misses[2][1]
