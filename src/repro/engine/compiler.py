@@ -58,7 +58,7 @@ import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.decode import (
     DecodedProgram,
@@ -139,19 +139,16 @@ TIER_THRESHOLD = 50
 def register_engine_metrics() -> None:
     """Register the engine's catalog counters at zero.
 
-    The metric catalog requires ``engine.compile.*``,
-    ``engine.codegen.*`` and ``engine.tier.*`` in every
-    default-pipeline snapshot, but a fully-interpreted tiered run never
-    compiles, a disabled code cache is never consulted, and an
-    interpreted run never reaches the block dispatcher.  ``counter()``
+    The metric catalog requires ``engine.compile.*`` and
+    ``engine.tier.*`` in every default-pipeline snapshot, but a
+    fully-interpreted tiered run never compiles and an interpreted run
+    never reaches the block dispatcher.  ``counter()``
     is get-or-create, so this pins the names without incrementing
     anything.
     """
     registry = obs_registry()
     registry.counter("engine.compile.programs")
     registry.counter("engine.compile.blocks")
-    registry.counter("engine.codegen.cache_hits")
-    registry.counter("engine.codegen.cache_misses")
     registry.counter("engine.tier.compiled_blocks")
     registry.counter("engine.tier.interp_blocks")
 
@@ -284,12 +281,8 @@ class CompiledBlocks:
             counts instead of bumping counters inside the hot code.
         max_len: longest block (the dispatcher's budget guard).
         source: the generated Python source (for tests and debugging).
-        cache_key: the code-cache key this compilation is stored under
-            (``None`` when the cache is disabled).
         validated: translation validation has proved this source clean
-            (either this process or a previous one, via the cache).
-        from_cache: the source came from the persistent code cache
-            (block discovery and emission were skipped).
+            in this process (memoized compilations are proved once).
     """
 
     __slots__ = (
@@ -301,9 +294,7 @@ class CompiledBlocks:
         "branches",
         "max_len",
         "source",
-        "cache_key",
         "validated",
-        "from_cache",
     )
 
     def __init__(
@@ -315,9 +306,7 @@ class CompiledBlocks:
         stores,
         branches,
         source,
-        cache_key=None,
         validated=False,
-        from_cache=False,
     ):
         self.bind = bind
         self.starts = starts
@@ -327,9 +316,7 @@ class CompiledBlocks:
         self.branches = branches
         self.max_len = max(lengths) if lengths else 0
         self.source = source
-        self.cache_key = cache_key
         self.validated = validated
-        self.from_cache = from_cache
 
     @property
     def num_blocks(self) -> int:
@@ -348,7 +335,7 @@ def _finish(
     blocks: List[Tuple[int, int]],
     counters: List[Tuple[int, int, int]],
     filename: str,
-) -> Optional[CompiledBlocks]:
+) -> CompiledBlocks:
     """Assemble, compile and exec the generated module source."""
     table = ", ".join(
         f"{start}: (_b{start}, {end - start}, {index})"
@@ -371,58 +358,15 @@ def _finish(
     )
 
 
-def _from_cached(
-    payload: Dict, key: str, filename: str
-) -> Optional[CompiledBlocks]:
-    """Rebuild a :class:`CompiledBlocks` from a cached codegen payload.
-
-    Any failure — source that no longer ``exec``s, metadata lists that
-    do not line up — returns ``None`` so the caller falls through to a
-    fresh emission (the bad entry is then overwritten by the fresh
-    store under the same key).
-    """
-    try:
-        source = payload["source"]
-        starts = [int(v) for v in payload["starts"]]
-        lengths = [int(v) for v in payload["lengths"]]
-        loads = [int(v) for v in payload["loads"]]
-        stores = [int(v) for v in payload["stores"]]
-        branches = [int(v) for v in payload["branches"]]
-        if not (
-            isinstance(source, str)
-            and len(starts)
-            == len(lengths)
-            == len(loads)
-            == len(stores)
-            == len(branches)
-        ):
-            return None
-        bind = _exec_module(source, filename)
-    except Exception:
-        return None
-    return CompiledBlocks(
-        bind=bind,
-        starts=starts,
-        lengths=lengths,
-        loads=loads,
-        stores=stores,
-        branches=branches,
-        source=source,
-        cache_key=key,
-        validated=bool(payload.get("validated", False)),
-        from_cache=True,
-    )
-
-
-#: Process-wide memo of finished compilations, keyed exactly like the
-#: persistent code cache.  Compilation is deterministic, but a cold
-#: pipeline builds many simulator instances per program (functional
-#: trace, baseline, perfect-L2, every timing mode), and each instance
-#: would otherwise re-emit and re-``exec`` the same module.  Bounded
-#: FIFO so fuzz campaigns streaming thousands of distinct programs
-#: through here cannot grow it without limit.
+#: Process-wide memo of finished compilations, keyed by
+#: :func:`_compile_key`; the only compile cache.  Compilation is
+#: deterministic, but a cold pipeline builds many simulator instances
+#: per program (functional trace, baseline, perfect-L2, every timing
+#: mode), and each instance would otherwise re-emit and re-``exec`` the
+#: same module.  Bounded FIFO so fuzz campaigns streaming thousands of
+#: distinct programs through here cannot grow it without limit.
 _MEMO_LIMIT = 128
-_compile_memo: "OrderedDict[str, CompiledBlocks]" = OrderedDict()
+_compile_memo: "OrderedDict[Hashable, CompiledBlocks]" = OrderedDict()
 # Guards every _compile_memo access: get/move_to_end, put/evict, clear.
 # OrderedDict mutation is not atomic under concurrent callers (the serve
 # daemon compiles from multiple worker threads), so an unguarded
@@ -431,7 +375,7 @@ _compile_memo: "OrderedDict[str, CompiledBlocks]" = OrderedDict()
 _memo_lock = threading.Lock()
 
 
-def _memo_get(key: str) -> Optional[CompiledBlocks]:
+def _memo_get(key: Hashable) -> Optional[CompiledBlocks]:
     with _memo_lock:
         memo = _compile_memo.get(key)
         if memo is not None:
@@ -439,7 +383,7 @@ def _memo_get(key: str) -> Optional[CompiledBlocks]:
         return memo
 
 
-def _memo_put(key: str, compiled: CompiledBlocks) -> None:
+def _memo_put(key: Hashable, compiled: CompiledBlocks) -> None:
     with _memo_lock:
         _compile_memo[key] = compiled
         _compile_memo.move_to_end(key)
@@ -463,11 +407,11 @@ def clear_compile_memo() -> None:
 # serialize, so the second one finds the first's result in the memo and
 # the module is emitted/exec'd exactly once per key.
 _inflight_lock = threading.Lock()
-_inflight: Dict[str, List] = {}  # key -> [lock, waiter_count]
+_inflight: Dict[Hashable, List] = {}  # key -> [lock, waiter_count]
 
 
 @contextmanager
-def _compile_guard(key: str) -> Iterator[None]:
+def _compile_guard(key: Hashable) -> Iterator[None]:
     with _inflight_lock:
         entry = _inflight.get(key)
         if entry is None:
@@ -488,57 +432,19 @@ def _compile_guard(key: str) -> Iterator[None]:
 def _compile_key(
     decoded: DecodedProgram,
     target: str,
-    variant: Dict,
+    variant: Dict[str, Hashable],
     only_blocks: Optional[Sequence[int]],
-) -> str:
-    """Content-addressed key for one compilation.
+) -> Tuple:
+    """Memo key for one compilation: program content, target, variant
+    and the (sorted) hot-block subset."""
+    from repro.harness.artifacts import program_digest
 
-    Identical to :meth:`repro.engine.codecache.CodeCache.key` (same
-    ``stable_key`` parts), so the in-process memo and the persistent
-    cache index the same entries.
-    """
-    from repro.engine.codecache import CODEGEN_SCHEMA_VERSION
-    from repro.harness.artifacts import program_digest, stable_key
-
-    return stable_key(
-        "codegen",
-        program=program_digest(decoded.program),
-        codegen_schema=CODEGEN_SCHEMA_VERSION,
-        target=target,
-        variant=variant,
-        only_blocks=(
-            sorted(only_blocks) if only_blocks is not None else None
-        ),
+    return (
+        program_digest(decoded.program),
+        target,
+        tuple(sorted(variant.items())),
+        tuple(sorted(only_blocks)) if only_blocks is not None else None,
     )
-
-
-def _consult_code_cache(
-    key: str,
-    filename: str,
-) -> Tuple[Optional[object], Optional[CompiledBlocks]]:
-    """Memo and code-cache lookup shared by both compilers.
-
-    Returns ``(cache, compiled)`` for the caller-computed ``key`` (see
-    :func:`_compile_key`).  The in-process memo is consulted first (no
-    disk, no counters).  On a disk hit the rebuilt compilation is
-    memoized for the next simulator instance; on a full miss the caller
-    emits fresh source and stores it under ``key``.
-    """
-    from repro.engine.codecache import get_code_cache
-
-    memo = _memo_get(key)
-    if memo is not None:
-        return get_code_cache(), memo
-    cache = get_code_cache()
-    if cache is None:
-        return None, None
-    payload = cache.load(key)
-    if payload is not None:
-        compiled = _from_cached(payload, key, filename)
-        if compiled is not None:
-            _memo_put(key, compiled)
-            return cache, compiled
-    return cache, None
 
 
 # ----------------------------------------------------------------------
@@ -562,20 +468,19 @@ def compile_functional(
     ``only_blocks`` restricts emission to blocks whose leader PC is in
     the set (the tiered engine compiles just its hot subset); the
     dispatch table then covers only those leaders and the dispatcher
-    interprets everything else.  Generated source is served from and
-    stored to the persistent code cache when one is enabled.
+    interprets everything else.  Finished compilations are memoized per
+    process.
     """
     n = len(decoded)
     if not n or n > MAX_PROGRAM:
         return None
-    filename = "<repro-compiled-functional>"
-    cache_key = _compile_key(
+    key = _compile_key(
         decoded, "functional", {"tracing": tracing, "caching": caching}, only_blocks
     )
-    with _compile_guard(cache_key):
-        cache, cached = _consult_code_cache(cache_key, filename)
-        if cached is not None:
-            return cached
+    with _compile_guard(key):
+        memo = _memo_get(key)
+        if memo is not None:
+            return memo
         blocks = discover_blocks(decoded)
         if only_blocks is not None:
             only = frozenset(only_blocks)
@@ -607,20 +512,8 @@ def compile_functional(
                 )
         except _Unsupported:
             return None
-        compiled = _finish(lines, blocks, counters, filename)
-        if compiled is not None:
-            _memo_put(cache_key, compiled)
-            if cache is not None:
-                compiled.cache_key = cache_key
-                cache.store(
-                    cache_key,
-                    compiled.source,
-                    compiled.starts,
-                    compiled.lengths,
-                    compiled.loads,
-                    compiled.stores,
-                    compiled.branches,
-                )
+        compiled = _finish(lines, blocks, counters, "<repro-compiled-functional>")
+        _memo_put(key, compiled)
         return compiled
 
 
@@ -833,14 +726,13 @@ def compile_timing(
     fallback.
 
     ``only_blocks`` restricts emission to blocks whose leader PC is in
-    the set (tiered hot subset); generated source is served from and
-    stored to the persistent code cache when one is enabled.
+    the set (tiered hot subset).  Finished compilations are memoized
+    per process.
     """
     n = len(decoded)
     if not n or n > MAX_PROGRAM:
         return None
-    filename = "<repro-compiled-timing>"
-    cache_key = _compile_key(
+    key = _compile_key(
         decoded,
         "timing",
         {
@@ -852,15 +744,15 @@ def compile_timing(
             "launching": launching,
             "stealing": stealing,
             "prefetching": prefetching,
-            "trigger_pcs": sorted(trigger_pcs),
-            "hinted_pcs": sorted(hinted_pcs),
+            "trigger_pcs": tuple(sorted(trigger_pcs)),
+            "hinted_pcs": tuple(sorted(hinted_pcs)),
         },
         only_blocks,
     )
-    with _compile_guard(cache_key):
-        cache, cached = _consult_code_cache(cache_key, filename)
-        if cached is not None:
-            return cached
+    with _compile_guard(key):
+        memo = _memo_get(key)
+        if memo is not None:
+            return memo
         blocks = discover_blocks(
             decoded, extra_leaders=sorted(trigger_pcs) if launching else ()
         )
@@ -915,20 +807,8 @@ def compile_timing(
                 counters.append(_emit_timing_block(decoded, start, end, ctx, lines))
         except _Unsupported:
             return None
-        compiled = _finish(lines, blocks, counters, filename)
-        if compiled is not None:
-            _memo_put(cache_key, compiled)
-            if cache is not None:
-                compiled.cache_key = cache_key
-                cache.store(
-                    cache_key,
-                    compiled.source,
-                    compiled.starts,
-                    compiled.lengths,
-                    compiled.loads,
-                    compiled.stores,
-                    compiled.branches,
-                )
+        compiled = _finish(lines, blocks, counters, "<repro-compiled-timing>")
+        _memo_put(key, compiled)
         return compiled
 
 

@@ -152,6 +152,21 @@ class FunctionalResult:
         )
 
 
+def register_functional_metrics(registry) -> None:
+    """Register the functional engine's catalog counters at zero.
+
+    A trace served from the harness store or memory runs no functional
+    simulation, yet the metric catalog requires ``functional.*`` in
+    every pipeline snapshot.  ``counter()`` is get-or-create, so this
+    pins the names without incrementing anything.
+    """
+    for name in (
+        "runs", "instructions", "loads", "stores", "branches",
+        "l1.misses", "l2.misses",
+    ):
+        registry.counter(f"functional.{name}")
+
+
 def _fold_block_counts(compiled: "CompiledBlocks", counts, st) -> None:
     """Fold static per-block event counts into run totals.
 
@@ -430,8 +445,8 @@ class FunctionalSimulator:
         covers (a tiered hot subset); ``None`` compiles every block.
         Under ``REPRO_VERIFY`` the module is translation-validated
         against the interpreter semantics before it runs (a subset
-        checks the structural partition in subset mode); cache-loaded
-        modules whose bytes already validated clean skip the re-proof.
+        checks the structural partition in subset mode), once per
+        memoized compilation.
         """
         key = (tracing, caching, hot)
         if key not in self._compiled:
@@ -458,14 +473,9 @@ class FunctionalSimulator:
                     f"caching={caching}, "
                     f"blocks={'all' if hot is None else len(hot)})",
                 )
-                # The memoized compilation remembers it proved
-                # clean even when no persistent cache is enabled.
+                # The memoized compilation remembers it proved clean,
+                # so later simulator instances skip the re-proof.
                 compiled.validated = True
-                from repro.engine.codecache import get_code_cache
-
-                cache = get_code_cache()
-                if cache is not None:
-                    cache.mark_validated(compiled)
             self._compiled[key] = compiled
         return self._compiled[key]
 

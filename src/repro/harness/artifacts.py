@@ -4,19 +4,19 @@ Every evaluation artifact (Tables 1/2, Figures 4-8, the ablations) fans
 out over 10 workloads x many knob settings, but the expensive stages —
 functional tracing, baseline timing, p-thread selection — depend only
 on a small key: (workload program content, input, hierarchy, machine,
-constraints, package version).  :class:`ArtifactCache` stores those
+constraints, package source).  :class:`ArtifactCache` stores those
 stage outputs on disk under a stable hash of that key, so repeated
 bench sessions (and the worker processes of a parallel sweep) reuse
 each other's work instead of re-simulating from scratch.
 
 Layout: ``<root>/<kind>/<aa>/<key>.<ext>`` where ``<aa>`` is the first
 two hex digits of the key (keeps directories small), ``kind`` is one of
-``trace`` / ``baseline`` / ``perfect_l2`` / ``selection`` /
-``codegen``, and the
+``trace`` / ``baseline`` / ``perfect_l2`` / ``selection``, and the
 extension is ``.json`` for the dict-codec kinds or ``.pkl`` for
 selections (whose p-thread bodies are instruction graphs; pickle is the
-pragmatic codec, and the package version baked into every key prevents
-stale formats from ever colliding).
+pragmatic codec).  Every key folds in :func:`source_digest`, so an
+entry written by other code — a changed codec, slicer or timing model —
+is never served.
 
 The root is ``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro``;
 setting ``REPRO_CACHE_DIR`` to ``off`` / ``0`` / the empty string
@@ -26,18 +26,17 @@ disables persistence (see :meth:`ArtifactCache.from_env`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import pickle
+import re
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.isa.program import Program
-
-#: Bumped whenever an on-disk codec changes shape; part of every key.
-SCHEMA_VERSION = 1
 
 #: Cache kinds and their storage codec.
 _KIND_CODECS = {
@@ -45,8 +44,10 @@ _KIND_CODECS = {
     "baseline": "json",
     "perfect_l2": "json",
     "selection": "pickle",
-    "codegen": "json",
 }
+
+#: One stored entry, relative to its kind directory: ``<aa>/<key>.<ext>``.
+_ENTRY_PATH = re.compile(r"[0-9a-f]{2}/[0-9a-f]{64}\.(json|pkl)")
 
 #: The process umask, read once at import (reading it means setting it,
 #: which would race with other threads creating files).
@@ -69,24 +70,39 @@ def _json_default(obj):
     raise TypeError(f"cannot canonicalize {type(obj).__name__} for cache key")
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """Digest of the ``repro`` package source, computed once per process.
+
+    Hashes every ``*.py`` file under the package, by sorted relative
+    path and bytes.  Folded into every :func:`stable_key`, so any edit
+    to the code that produced an entry moves it to a new slot.  One
+    whole-package digest rather than per-kind module lists: a list of
+    producer modules can itself go stale.
+    """
+    root = Path(__file__).resolve().parent.parent
+    files = sorted(
+        (path.relative_to(root).as_posix(), path)
+        for path in root.rglob("*.py")
+    )
+    hasher = hashlib.sha256()
+    for relative, path in files:
+        data = path.read_bytes()
+        hasher.update(f"{relative}\0{len(data)}\0".encode("utf-8"))
+        hasher.update(data)
+    return hasher.hexdigest()
+
+
 def stable_key(kind: str, **parts) -> str:
     """A stable hex digest of a cache key description.
 
-    The digest covers the artifact kind, the package and schema
-    versions, and every keyword part (dataclasses are canonicalized
-    field by field), so any change to code version, configuration, or
-    workload identity lands in a different cache slot.
+    The digest covers the artifact kind, the package source (see
+    :func:`source_digest`), and every keyword part (dataclasses are
+    canonicalized field by field), so any change to code,
+    configuration, or workload identity lands in a different cache
+    slot.
     """
-    # Imported lazily: repro/__init__ re-exports the harness, so a
-    # module-level import here would be circular.
-    from repro import __version__
-
-    payload = {
-        "kind": kind,
-        "version": __version__,
-        "schema": SCHEMA_VERSION,
-        **parts,
-    }
+    payload = {"kind": kind, "source": source_digest(), **parts}
     blob = json.dumps(payload, sort_keys=True, default=_json_default)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -209,36 +225,44 @@ class ArtifactCache:
 
     # -- maintenance ----------------------------------------------------
 
+    def _entries(self, kind: Optional[str] = None) -> List[Path]:
+        """Stored entry files of ``kind``, or of every kind directory.
+
+        Only files matching the store layout count, so stray files under
+        the root are never reported or removed; kind directories a
+        different build wrote (a retired kind) are included.
+        """
+        if kind is not None:
+            bases = [self.root / kind]
+        elif self.root.is_dir():
+            bases = sorted(p for p in self.root.iterdir() if p.is_dir())
+        else:
+            bases = []
+        return [
+            path
+            for base in bases
+            if base.is_dir()
+            for path in sorted(base.glob("*/*"))
+            if _ENTRY_PATH.fullmatch(f"{path.parent.name}/{path.name}")
+            and path.is_file()
+        ]
+
     def entry_count(self) -> Dict[str, int]:
-        """Number of stored artifacts per kind."""
-        counts = {}
-        for kind in _KIND_CODECS:
-            base = self.root / kind
-            counts[kind] = (
-                sum(1 for _ in base.glob("*/*")) if base.is_dir() else 0
-            )
+        """Number of stored artifacts per kind.
+
+        Every current kind is listed; any other kind directory holding
+        entries (a retired kind) is listed too, so the counts cover what
+        :meth:`size_bytes` and :meth:`clear` see.
+        """
+        counts = dict.fromkeys(_KIND_CODECS, 0)
+        for path in self._entries():
+            kind = path.parent.parent.name
+            counts[kind] = counts.get(kind, 0) + 1
         return counts
 
     def size_bytes(self, kind: Optional[str] = None) -> int:
         """Total stored bytes, optionally restricted to one kind."""
-        if kind is not None:
-            if kind not in _KIND_CODECS:
-                raise KeyError(f"unknown artifact kind {kind!r}")
-            base = self.root / kind
-            if not base.is_dir():
-                return 0
-            return sum(
-                path.stat().st_size
-                for path in base.rglob("*")
-                if path.is_file()
-            )
-        if not self.root.is_dir():
-            return 0
-        return sum(
-            path.stat().st_size
-            for path in self.root.rglob("*")
-            if path.is_file()
-        )
+        return sum(path.stat().st_size for path in self._entries(kind))
 
     def publish_metrics(self, registry) -> None:
         """Set the cache-size gauges (``harness.cache.entries/bytes``).
@@ -256,19 +280,15 @@ class ArtifactCache:
 
         With ``kind`` only that kind's entries are removed; an unknown
         kind raises ``KeyError`` rather than silently clearing nothing.
+        Without it, entries of every kind directory go, retired kinds
+        included.  Files that do not match the store layout are left.
         """
         if kind is not None and kind not in _KIND_CODECS:
             raise KeyError(f"unknown artifact kind {kind!r}")
-        kinds = _KIND_CODECS if kind is None else (kind,)
-        removed = 0
-        for kind in kinds:
-            base = self.root / kind
-            if not base.is_dir():
-                continue
-            for path in sorted(base.glob("*/*")):
-                path.unlink()
-                removed += 1
-            for bucket in sorted(base.iterdir()):
-                if bucket.is_dir() and not any(bucket.iterdir()):
-                    bucket.rmdir()
-        return removed
+        entries = self._entries(kind)
+        for path in entries:
+            path.unlink()
+        for bucket in sorted({path.parent for path in entries}):
+            if not any(bucket.iterdir()):
+                bucket.rmdir()
+        return len(entries)

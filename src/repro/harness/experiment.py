@@ -23,7 +23,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.report import assert_clean, verification_enabled
-from repro.engine.functional import FunctionalResult, run_program
+from repro.engine.functional import (
+    FunctionalResult,
+    register_functional_metrics,
+    run_program,
+)
 from repro.harness.artifacts import ArtifactCache, program_digest, stable_key
 from repro.memory.hierarchy import HierarchyConfig
 from repro.model.params import ModelParams, SelectionConstraints
@@ -205,6 +209,10 @@ def _count(stage: str, outcome: str) -> None:
     registry = get_registry()
     registry.counter(f"harness.cache.{outcome}").inc()
     registry.counter(f"harness.stage.{stage}.{outcome}").inc()
+    if stage == "trace":
+        # No functional simulation ran; its catalog counters still
+        # belong in this registry's snapshot.
+        register_functional_metrics(registry)
 
 
 def _computed(stage: str, seconds: float, instructions: int = 0) -> None:

@@ -331,8 +331,8 @@ class TimingSimulator:
         covers (a tiered hot subset); ``None`` compiles every block.
         Under ``REPRO_VERIFY`` the module is translation-validated
         against the timing-loop semantics before it runs (a subset
-        checks the structural partition in subset mode); cache-loaded
-        modules whose bytes already validated clean skip the re-proof.
+        checks the structural partition in subset mode), once per
+        memoized compilation.
         """
         key = (launching, stealing, prefetching, hot)
         if key not in self._compiled:
@@ -360,14 +360,9 @@ class TimingSimulator:
                     f"stealing={stealing}, prefetching={prefetching}, "
                     f"blocks={'all' if hot is None else len(hot)})",
                 )
-                # The memoized compilation remembers it proved
-                # clean even when no persistent cache is enabled.
+                # The memoized compilation remembers it proved clean,
+                # so later simulator instances skip the re-proof.
                 compiled.validated = True
-                from repro.engine.codecache import get_code_cache
-
-                cache = get_code_cache()
-                if cache is not None:
-                    cache.mark_validated(compiled)
             self._compiled[key] = compiled
         return self._compiled[key]
 

@@ -2,11 +2,17 @@
 
 import json
 import os
+import shutil
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.harness import artifacts
 from repro.harness.artifacts import ArtifactCache, program_digest, stable_key
 from repro.harness.experiment import ExperimentConfig, ExperimentRunner
 from repro.memory.hierarchy import HierarchyConfig
@@ -59,6 +65,72 @@ class TestStableKey:
     def test_rejects_unencodable(self):
         with pytest.raises(TypeError):
             stable_key("trace", payload=object())
+
+
+#: Prints the trace-stage store key of a one-instruction workload, using
+#: whichever ``repro`` package is first on ``PYTHONPATH``.
+_STAGE_KEY_SCRIPT = """
+from repro.harness.experiment import ExperimentRunner
+from repro.isa import assemble
+from repro.memory.hierarchy import HierarchyConfig
+from repro.workloads.suite import Workload
+
+program = assemble("halt", name="tiny")
+workload = Workload("tiny", "train", program, HierarchyConfig(), "")
+print(ExperimentRunner()._stage_key("trace", workload))
+"""
+
+
+#: One small compiled-engine pipeline run against the environment's store.
+_COLD_RUN_SCRIPT = """
+from repro.harness.artifacts import ArtifactCache
+from repro.harness.experiment import ExperimentConfig, ExperimentRunner
+from repro.workloads.suite import build
+
+runner = ExperimentRunner(artifacts=ArtifactCache.from_env())
+small = build("pharmacy", "train", n_xact=700, n_drugs=16384, hot_drugs=1024)
+runner._workloads[("pharmacy", "train", small.hierarchy)] = small
+runner.run(ExperimentConfig(workload="pharmacy"))
+"""
+
+
+def _run_python(script: str, pythonpath: Path, **env) -> str:
+    """Run ``script`` in a fresh interpreter importing ``repro`` from
+    ``pythonpath``; returns its stdout."""
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=pythonpath,
+        env=dict(os.environ, PYTHONPATH=str(pythonpath), **env),
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return done.stdout.strip()
+
+
+class TestSourceDigest:
+    def test_edit_to_the_package_changes_stage_keys(self, tmp_path):
+        """A comment added to the slicer moves every store key."""
+        package = Path(repro.__file__).parent
+        copies = {}
+        for name in ("same", "edited"):
+            copies[name] = tmp_path / name
+            shutil.copytree(
+                package,
+                copies[name] / "repro",
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        slicer = copies["edited"] / "repro" / "slicing" / "slicer.py"
+        slicer.write_text(slicer.read_text() + "# an edit\n")
+
+        same = _run_python(_STAGE_KEY_SCRIPT, copies["same"])
+        edited = _run_python(_STAGE_KEY_SCRIPT, copies["edited"])
+        assert len(same) == len(edited) == 64
+        assert edited != same
+        # The digest hashes relative paths, so an unedited copy anywhere
+        # else agrees with the package under test.
+        assert same == _run_python(_STAGE_KEY_SCRIPT, package.parent)
 
 
 class TestProgramDigest:
@@ -181,21 +253,57 @@ class TestStorage:
         assert cache.clear() == 4
         assert sum(cache.entry_count().values()) == 0
 
+    def test_retired_kind_is_counted_and_cleared(self, tmp_path):
+        """Stores filled by older builds keep a ``codegen`` directory:
+        clear-all removes its entries, and nothing off the layout."""
+        cache = ArtifactCache(tmp_path)
+        cache.store("trace", cache.key("trace", i=0), {"i": 0})
+        retired = tmp_path / "codegen" / "ab" / ("ab" + "0" * 62 + ".json")
+        retired.parent.mkdir(parents=True)
+        retired.write_text('{"source": "def _bind(ctx): pass"}')
+        strays = [
+            tmp_path / "README",
+            tmp_path / "codegen" / "notes.txt",
+            tmp_path / "codegen" / "ab" / "notes.json",
+            tmp_path / "trace" / "ab" / ("ab" + "0" * 62 + ".txt"),
+        ]
+        for stray in strays:
+            stray.parent.mkdir(parents=True, exist_ok=True)
+            stray.write_text("keep")
+
+        counts = cache.entry_count()
+        assert counts == {
+            "trace": 1, "baseline": 0, "perfect_l2": 0, "selection": 0,
+            "codegen": 1,
+        }
+        assert cache.size_bytes("codegen") == retired.stat().st_size
+        assert cache.size_bytes() == sum(
+            cache.size_bytes(kind) for kind in counts
+        )
+        assert cache.clear() == 2
+        assert not retired.exists()
+        assert all(stray.read_text() == "keep" for stray in strays)
+        assert sum(cache.entry_count().values()) == 0
+        with pytest.raises(KeyError):
+            cache.clear("codegen")
+
 
 #: Store keys of one fixed small config (pharmacy ``SMALL_PHARMACY``
 #: train, default machine and constraints, ``validate=True``), one per
-#: stage kind.  Pinned so a refactor of the runner's stage caches keeps
-#: every store an earlier build filled valid.
+#: stage kind, under a fixed source digest.  Pinned so a refactor of the
+#: runner's stage caches cannot silently change what a key covers.
 PINNED_STORE_KEYS = {
-    "trace": "f1c52a907789209ba4558b64d78e8c135fb23820fba60e51867b517026645813",
-    "baseline": "b8d45322111cbc66a80f8bda31d999b5a06290b30990294cec63e0eecd934cdb",
-    "perfect_l2": "cf61f1f67972a96f5f1eb5b51b768c232740c4f7240bebdb9cc24d7e83ab3c36",
-    "selection": "66fe97fc8e11054c8b22b43921c816dc3c55bcecfd5243dfeea3e3a1cc4d9f40",
+    "trace": "91f578ab7d66bc1f71fea6eb08f50706e537e2a1f14e1f5a064568637a3c31ed",
+    "baseline": "b4e2551766b6e560391af4c84afeb12ac1075cd5d83a363288ef1303c83d40ca",
+    "perfect_l2": "814b7e283f29f669f26193fd077dcc73bf64372955d756fafff306421dd37634",
+    "selection": "fb42726766ecd72cdf27365fb7bf41d1f31dad1bd5d5af62870ba603bf788cec",
 }
 
 
 class TestStoreKeys:
-    def test_stage_keys_are_pinned(self, tmp_path):
+    def test_stage_keys_are_pinned(self, tmp_path, monkeypatch):
+        # Any source edit moves every key; pin them under a fixed digest.
+        monkeypatch.setattr(artifacts, "source_digest", lambda: "0" * 64)
         runner = small_runner(tmp_path)
         runner.run(ExperimentConfig(workload="pharmacy", validate=True))
         stored = {
@@ -239,6 +347,23 @@ class TestRunnerIntegration:
         assert len(trace_files) == 1
         payload = json.loads(trace_files[0].read_text())
         assert payload["instructions"] > 0
+
+    def test_cold_run_stores_no_generated_code(self, tmp_path):
+        """Generated code lives only in the in-process compile memo.
+
+        Run in a fresh process so nothing compiled earlier in this one
+        is reused and the store root comes from the environment.
+        """
+        store = tmp_path / "store"
+        _run_python(
+            _COLD_RUN_SCRIPT,
+            Path(repro.__file__).parent.parent,
+            REPRO_CACHE_DIR=str(store),
+            REPRO_ENGINE="compiled",
+        )
+        assert sorted(p.name for p in store.iterdir()) == [
+            "baseline", "selection", "trace",
+        ]
 
     def test_disabled_cache_keeps_everything_in_memory(self, stage_counts):
         runner = small_runner(None)

@@ -334,6 +334,21 @@ class TestCacheCommand:
         assert main(["cache", "clear"]) == 0
         assert "removed 0" in capsys.readouterr().out
 
+    def test_info_lists_and_clear_removes_a_retired_kind(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        entry = tmp_path / "codegen" / "ab" / ("ab" + "0" * 62 + ".json")
+        entry.parent.mkdir(parents=True)
+        entry.write_text("x" * 2048)
+        assert main(["cache", "info"]) == 0
+        out = capsys.readouterr().out
+        assert "codegen" in out and "1 artifact(s)" in out
+        assert "total size  2.0 KiB" in out
+        assert main(["cache", "clear"]) == 0
+        assert "removed 1" in capsys.readouterr().out
+        assert not entry.exists()
+
     def test_disabled_cache_reported(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "off")
         assert main(["cache", "info"]) == 0

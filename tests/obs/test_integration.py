@@ -8,7 +8,13 @@ from repro.harness.artifacts import ArtifactCache
 from repro.harness.experiment import ExperimentConfig, ExperimentRunner
 from repro.harness.parallel import SweepExecutor
 from repro.model.params import SelectionConstraints
-from repro.obs import check_snapshot, load_snapshot, write_snapshot
+from repro.obs import (
+    check_snapshot,
+    load_snapshot,
+    reset_registry,
+    snapshot_document,
+    write_snapshot,
+)
 from repro.workloads.suite import build
 
 SMALL_PHARMACY = dict(
@@ -26,8 +32,8 @@ def small_inputs(monkeypatch):
     monkeypatch.setitem(pharmacy.INPUTS, "train", dict(SMALL_PHARMACY))
 
 
-def seeded_runner() -> ExperimentRunner:
-    runner = ExperimentRunner()
+def seeded_runner(artifacts=None) -> ExperimentRunner:
+    runner = ExperimentRunner(artifacts=artifacts)
     small = build("pharmacy", "train", **SMALL_PHARMACY)
     runner._workloads[("pharmacy", "train", small.hierarchy)] = small
     return runner
@@ -120,3 +126,35 @@ def test_snapshot_of_real_run_passes_catalog_check(tmp_path, fresh_obs):
     path = tmp_path / "metrics_snapshot.json"
     write_snapshot(path, registry)
     assert check_snapshot(load_snapshot(path)) == []
+
+
+def test_warm_store_snapshot_passes_catalog_check(tmp_path, fresh_obs):
+    """A run whose trace comes from the store runs no functional
+    simulation, yet its snapshot still carries ``functional.*``."""
+    store = ArtifactCache(tmp_path)
+    config = ExperimentConfig(workload="pharmacy")
+    seeded_runner(store).run(config)
+    registry = reset_registry()
+    seeded_runner(store).run(config)
+    doc = snapshot_document(registry)
+    assert doc["metrics"]["harness.stage.trace.disk_hits"]["value"] == 1
+    assert doc["metrics"]["functional.runs"]["value"] == 0
+    assert check_snapshot(doc) == []
+
+
+def test_warm_store_sweep_snapshot_passes_catalog_check(
+    small_inputs, tmp_path, fresh_obs
+):
+    """The same in sweep worker processes, whose per-cell registries the
+    coordinator merges."""
+    configs = [
+        ExperimentConfig(workload="pharmacy"),
+        ExperimentConfig(workload="pharmacy", validate=True),
+    ]
+    SweepExecutor(jobs=1, artifacts=ArtifactCache(tmp_path)).run(configs)
+    registry = reset_registry()
+    SweepExecutor(jobs=2, artifacts=ArtifactCache(tmp_path)).run(configs)
+    doc = snapshot_document(registry)
+    assert doc["metrics"]["harness.stage.trace.disk_hits"]["value"] >= 1
+    assert doc["metrics"]["functional.runs"]["value"] == 0
+    assert check_snapshot(doc) == []
