@@ -9,6 +9,11 @@ over worker processes.  The persistent artifact cache (default
 lets parallel workers share work; after the session a stage-timing /
 cache-effectiveness report is written to ``results/perf_harness.txt``.
 
+Each bench writes its table to ``results/<name>.txt``, the committed
+full-suite tables.  A session restricted to a subset of the suite
+writes to the untracked ``results/restricted/<name>.txt`` instead, so a
+smoke run never overwrites a committed table with a partial one.
+
 Environment knobs:
     REPRO_BENCH_WORKLOADS  comma-separated subset of the suite (default
                            all ten benchmarks).
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -74,12 +80,21 @@ def workloads() -> list:
     return names
 
 
+def report_dir(workloads: Sequence[str]) -> Path:
+    """Where a session over ``workloads`` writes its tables: the
+    committed ``results/`` only for the full suite."""
+    if set(workloads) == set(SUITE):
+        return RESULTS_DIR
+    return RESULTS_DIR / "restricted"
+
+
 @pytest.fixture(scope="session")
-def save_report():
-    RESULTS_DIR.mkdir(exist_ok=True)
+def save_report(workloads):
+    directory = report_dir(workloads)
+    directory.mkdir(parents=True, exist_ok=True)
 
     def _save(name: str, text: str) -> None:
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        (directory / f"{name}.txt").write_text(text + "\n")
         print()
         print(text)
 

@@ -58,7 +58,8 @@ import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.decode import (
     DecodedProgram,
@@ -73,7 +74,8 @@ from repro.engine.decode import (
     K_NOP,
     K_STORE,
 )
-from repro.isa.opcodes import Opcode, WORD_SIZE
+from repro.isa.opcodes import Format, Opcode, WORD_SIZE, opinfo
+from repro.isa.registers import NUM_REGS
 from repro.obs import get_registry as obs_registry
 
 #: Environment variable selecting the execution engine.
@@ -397,9 +399,11 @@ def _memo_len() -> int:
 
 
 def clear_compile_memo() -> None:
-    """Drop all memoized compilations (test / cold-benchmark seam)."""
+    """Drop all memoized compilations, p-thread bodies included
+    (test / cold-benchmark seam)."""
     with _memo_lock:
         _compile_memo.clear()
+    _compile_body.cache_clear()
 
 
 # Per-key in-flight compilation guard.  Threads compiling *different*
@@ -1070,3 +1074,151 @@ def _emit_timing_block(
     if not terminated:
         out.append(f"        return {end}, {_RETURN}")
     return loads, stores, branches
+
+
+# ----------------------------------------------------------------------
+# P-thread body codegen
+# ----------------------------------------------------------------------
+
+#: Static p-thread bodies kept by :func:`compile_pthread_body`.
+_BODY_MEMO_LIMIT = 1024
+
+
+def compile_pthread_body(
+    body, *, burst: int, period: int, forward_latency: int
+) -> Optional[Callable]:
+    """Specialize one straight-line p-thread body into one function.
+
+    Returns ``bind(ctx) -> run(t)``, or ``None`` when the body holds an
+    instruction with no template (its launches keep the interpreted
+    body loop in :mod:`repro.timing.core`, which is also the oracle
+    these functions are checked against).  ``ctx`` carries ``regs`` /
+    ``rdy`` (the main thread's register values and ready cycles, read
+    for the seed live-ins), ``mem_load``, ``words`` and ``access`` (the
+    hierarchy's p-thread or phantom load path).  ``run(t)`` executes
+    one dynamic instance injected from cycle ``t`` and returns ``None``,
+    or ``(outcome ready cycle, taken)`` for a body whose last
+    instruction is its target branch.
+
+    Registers live in locals, immediates and burst injection offsets
+    are constants, and a load's value is read only when a later
+    instruction uses it.  A bounded memo keyed by the body's content
+    builds each body once per process.
+    """
+    key = (
+        tuple(
+            (inst.op, inst.rd, inst.rs1, inst.rs2, inst.imm)
+            for inst in body.instructions
+        ),
+        tuple(body.live_ins),
+        burst,
+        period,
+        forward_latency,
+    )
+    return _compile_body(key)
+
+
+@lru_cache(maxsize=_BODY_MEMO_LIMIT)
+def _compile_body(key: Tuple) -> Optional[Callable]:
+    instructions, live_ins, burst, period, forward_latency = key
+    n = len(instructions)
+    # Register -> (value expr, ready expr); unseeded registers read 0.
+    state: Dict[int, Tuple[str, str]] = {0: ("0", "0")}
+    lines = [
+        "def _bind(ctx):",
+        "    regs = ctx['regs']",
+        "    rdy = ctx['rdy']",
+        "    mem_load = ctx['mem_load']",
+        "    words_get = ctx['words'].get",
+        "    access = ctx['access']",
+        "    def _run(t):",
+    ]
+    emit = lines.append
+    for reg in live_ins:
+        if reg < NUM_REGS:
+            emit(f"        v{reg} = regs[{reg}]")
+            emit(f"        r{reg} = rdy[{reg}]")
+            state[reg] = (f"v{reg}", f"r{reg}")
+        else:  # virtual register with no seed: reads as zero
+            state[reg] = ("0", "0")
+    if any(opinfo(op).fmt is Format.STORE for op, *_ in instructions):
+        emit("        sb = {}")
+    stored = False
+    result = "None"
+    try:
+        for j, (op, rd, rs1, rs2, imm) in enumerate(instructions):
+            info = opinfo(op)
+            fmt = info.fmt
+            rd = rd or 0
+            a_val, a_rdy = state.get(rs1 or 0, ("0", "0"))
+            b_val, b_rdy = state.get(rs2 or 0, ("0", "0"))
+            if j % burst == 0:
+                emit(f"        b = t + {j // burst * period + 1}")
+            emit(f"        i = {a_rdy}")
+            emit("        if b > i:")
+            emit("            i = b")
+            if fmt in (Format.R, Format.BRANCH, Format.STORE):
+                emit(f"        if {b_rdy} > i:")
+                emit(f"            i = {b_rdy}")
+            if fmt is Format.R or fmt is Format.I:
+                template = _ALU_TEMPLATES.get(op)
+                if template is None:
+                    raise _Unsupported(f"no ALU template for {op}")
+                b_expr = b_val if fmt is Format.R else f"({imm})"
+                if rd:
+                    emit(f"        v{rd} = {template(a_val, b_expr)}")
+                    emit(f"        r{rd} = i + {info.latency}")
+                    state[rd] = (f"v{rd}", f"r{rd}")
+            elif fmt is Format.LOAD:
+                live = bool(rd) and _read_before_write(instructions, j + 1, rd)
+                addr = f"{a_val} + ({imm})" if imm else a_val
+                emit(f"        a = {addr}")
+                emit("        s = i + 1")
+                indent = "        "
+                if stored:
+                    emit("        f = sb.get(a)")
+                    emit("        if f is not None:")
+                    if live:
+                        emit("            v = f[1]")
+                    emit("            d = f[0]")
+                    emit(f"            c = (d if d > s else s) + {forward_latency}")
+                    emit("        else:")
+                    indent += "    "
+                load_lines: List[str] = []
+                _emit_mem_load(rd if live else 0, load_lines)
+                lines.extend(indent + line[8:] for line in load_lines)
+                emit(f"{indent}c = access(a, s)[1]")
+                if live:
+                    # A dead load's value and ready cycle are never read.
+                    emit(f"        v{rd} = v")
+                    emit(f"        r{rd} = c")
+                    state[rd] = (f"v{rd}", f"r{rd}")
+            elif fmt is Format.BRANCH:
+                cmp = _BRANCH_OPS.get(op)
+                if cmp is None or j != n - 1:
+                    raise _Unsupported(f"branch {op} at body position {j}")
+                result = f"(i + 1, 1 if {a_val} {cmp} {b_val} else 0)"
+            elif fmt is Format.STORE:
+                stored = True
+                emit(f"        sb[{a_val} + ({imm})] = (i + 1, {b_val})")
+            else:
+                raise _Unsupported(f"{op} in a p-thread body")
+    except _Unsupported:
+        return None
+    emit(f"        return {result}")
+    emit("    return _run")
+    return _exec_module("\n".join(lines) + "\n", "<repro-compiled-pthread>")
+
+
+def _read_before_write(instructions: Sequence[Tuple], start: int, reg: int) -> bool:
+    """Does a body instruction from ``start`` on read ``reg`` before
+    redefining it?"""
+    for op, rd, rs1, rs2, _imm in instructions[start:]:
+        fmt = opinfo(op).fmt
+        if rs1 == reg:
+            return True
+        if rs2 == reg and fmt in (Format.R, Format.BRANCH, Format.STORE):
+            return True
+        if rd == reg and fmt in (Format.R, Format.I, Format.LOAD):
+            return False
+    return False

@@ -77,13 +77,24 @@ class HybridPredictor:
         Returns:
             True if the prediction (direction and, when taken, target)
             was correct.
+
+        Runs once per simulated conditional branch, so it indexes the
+        three tables' counter lists directly rather than through
+        :class:`_CounterTable` calls (same 2-bit saturating updates).
         """
         self.branches += 1
-        gshare_index = pc ^ self.history
-        use_gshare = self.chooser.predict(pc)
-        bimodal_pred = self.bimodal.predict(pc)
-        gshare_pred = self.gshare.predict(gshare_index)
-        prediction = gshare_pred if use_gshare else bimodal_pred
+        bimodal = self.bimodal.counters
+        gshare = self.gshare.counters
+        chooser = self.chooser.counters
+        bi = pc & self.bimodal.mask
+        gi = (pc ^ self.history) & self.gshare.mask
+        b = bimodal[bi]
+        g = gshare[gi]
+        bimodal_pred = b >= 2
+        gshare_pred = g >= 2
+        ci = pc & self.chooser.mask
+        c = chooser[ci]
+        prediction = gshare_pred if c >= 2 else bimodal_pred
 
         correct = prediction == taken
         if correct and taken:
@@ -94,12 +105,24 @@ class HybridPredictor:
         # Update chooser toward whichever component was right (only when
         # they disagree, per the standard tournament scheme).
         if bimodal_pred != gshare_pred:
-            self.chooser.update(pc, gshare_pred == taken)
-        self.bimodal.update(pc, taken)
-        self.gshare.update(gshare_index, taken)
-        self.history = ((self.history << 1) | int(taken)) & self.history_mask
+            if gshare_pred == taken:
+                if c < 3:
+                    chooser[ci] = c + 1
+            elif c > 0:
+                chooser[ci] = c - 1
         if taken:
+            if b < 3:
+                bimodal[bi] = b + 1
+            if g < 3:
+                gshare[gi] = g + 1
+            self.history = ((self.history << 1) | 1) & self.history_mask
             self._btb_install(pc, target)
+        else:
+            if b > 0:
+                bimodal[bi] = b - 1
+            if g > 0:
+                gshare[gi] = g - 1
+            self.history = (self.history << 1) & self.history_mask
         return correct
 
     def predict_indirect(self, pc: int, target: int) -> bool:

@@ -146,16 +146,25 @@ class ExperimentResult:
 #: Pipeline stages in execution order, as a deadline check sees them.
 PIPELINE_STAGES = ("trace", "baseline", "selection", "timing", "validation")
 
+#: The validation stage's timing runs (the paper's Table 2 validation
+#: columns), keyed as in :attr:`ExperimentResult.validation`.
+VALIDATION_RUNS = (
+    ("overhead_execute", OVERHEAD_EXECUTE),
+    ("overhead_sequence", OVERHEAD_SEQUENCE),
+    ("latency_only", LATENCY_ONLY),
+)
+
 
 @dataclass
 class PartialExperimentResult:
     """What a budget-cut experiment had finished when the deadline hit.
 
     Soft-deadline semantics (the fuzz runner's pattern): the budget is
-    only consulted *between* stages, so every stage listed in
-    ``stages_completed`` ran to completion and its artifacts are in the
-    runner's caches — a retry with a larger budget resumes from there
-    for free.  ``next_stage`` is the stage the deadline prevented.
+    only consulted *between* stages, and between the validation stage's
+    timing runs, so every stage listed in ``stages_completed`` ran to
+    completion and its artifacts are in the runner's caches — a retry
+    with a larger budget resumes from there for free.  ``next_stage`` is
+    the stage the deadline prevented or cut short.
     """
 
     config: ExperimentConfig
@@ -389,8 +398,9 @@ class ExperimentRunner:
         """Execute one experiment cell end to end.
 
         ``deadline`` is an absolute ``time.monotonic()`` instant (the
-        caller's soft budget).  It is checked *between* stages only —
-        a stage that has started always finishes — and an expired
+        caller's soft budget).  It is checked *between* stages and
+        between validation runs only — a simulation that has started
+        always finishes — and an expired
         budget raises :class:`ExperimentDeadlineError` carrying a
         :class:`PartialExperimentResult` of everything completed so far.
         """
@@ -566,11 +576,14 @@ class ExperimentRunner:
         )
         validation: Dict[str, SimStats] = {}
         if config.validate:
-            self._check_deadline(deadline, "validation", config, timings)
             with tracer.span("validation") as validation_span:
-                validation["overhead_execute"] = simulate(OVERHEAD_EXECUTE)
-                validation["overhead_sequence"] = simulate(OVERHEAD_SEQUENCE)
-                validation["latency_only"] = simulate(LATENCY_ONLY)
+                for name, mode in VALIDATION_RUNS:
+                    # Each run is as long as the pre-execution one, so
+                    # the budget is checked before every run.
+                    self._check_deadline(
+                        deadline, "validation", config, timings
+                    )
+                    validation[name] = simulate(mode)
             elapsed = validation_span.duration
             timings["validation"] = elapsed
             _computed("validation", elapsed)

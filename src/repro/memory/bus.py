@@ -18,7 +18,7 @@ contention locally without ordering assumptions.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Callable, Dict, Set
 
 
 class Bus:
@@ -29,6 +29,10 @@ class Bus:
         width_bytes: bytes transferred per bus clock.
         cycles_per_beat: processor cycles per bus clock (4 for the
             paper's memory bus, 1 for the backside bus).
+
+    The slot sets are the record of every transfer since the last
+    :meth:`reset`, so :attr:`transfers` and :attr:`busy_cycles` are
+    read off them; only :attr:`wait_cycles` is counted per request.
     """
 
     def __init__(self, name: str, width_bytes: int, cycles_per_beat: int = 1) -> None:
@@ -41,37 +45,64 @@ class Bus:
         # bus are near-homogeneous — line fills — so this rarely holds
         # more than one duration).
         self._slots: Dict[int, Set[int]] = {}
+        # Bound request paths, per transfer size (see :meth:`transfer`).
+        self._requesters: Dict[int, Callable[[int], int]] = {}
         # statistics
-        self.transfers = 0
-        self.busy_cycles = 0
         self.wait_cycles = 0
+
+    @property
+    def transfers(self) -> int:
+        return sum(len(slots) for slots in self._slots.values())
+
+    @property
+    def busy_cycles(self) -> int:
+        return sum(
+            duration * len(slots) for duration, slots in self._slots.items()
+        )
 
     def transfer_cycles(self, num_bytes: int) -> int:
         """Occupancy in processor cycles for ``num_bytes``."""
         beats = -(-num_bytes // self.width_bytes)  # ceil division
         return beats * self.cycles_per_beat
 
-    def request(self, now: int, num_bytes: int) -> int:
-        """Schedule a transfer requested at ``now``.
+    def transfer(self, num_bytes: int) -> Callable[[int], int]:
+        """The request path for ``num_bytes`` transfers, bound once.
 
-        Returns the cycle at which the transfer completes.  The request
+        Returns ``request(now) -> completion cycle``: the transfer
         occupies the first free slot at or after ``now``; requests may
-        arrive in any timestamp order.
+        arrive in any timestamp order.  The duration and its slot set
+        are resolved here rather than per request — the timed hierarchy
+        binds one of these per bus for its fixed line size.
         """
+        request = self._requesters.get(num_bytes)
+        if request is not None:
+            return request
         duration = self.transfer_cycles(num_bytes)
         slots = self._slots.setdefault(duration, set())
-        index = max(now, 0) // duration
-        while index in slots:
-            index += 1
-        slots.add(index)
-        start = max(now, index * duration)
-        self.transfers += 1
-        self.busy_cycles += duration
-        self.wait_cycles += start - now
-        return start + duration
+        bus = self
+
+        def request(now: int) -> int:
+            index = (now if now > 0 else 0) // duration
+            while index in slots:
+                index += 1
+            slots.add(index)
+            start = index * duration
+            if start > now:
+                bus.wait_cycles += start - now
+            else:
+                start = now
+            return start + duration
+
+        self._requesters[num_bytes] = request
+        return request
+
+    def request(self, now: int, num_bytes: int) -> int:
+        """Schedule a transfer of ``num_bytes`` requested at ``now``;
+        returns the cycle at which it completes."""
+        return self.transfer(num_bytes)(now)
 
     def reset(self) -> None:
-        self._slots.clear()
-        self.transfers = 0
-        self.busy_cycles = 0
+        # Cleared in place: bound request paths hold the slot sets.
+        for slots in self._slots.values():
+            slots.clear()
         self.wait_cycles = 0

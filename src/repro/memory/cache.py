@@ -22,7 +22,7 @@ allocator dominated the access path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,15 @@ class Cache:
     ``assoc``-long slice) and hits shift the matching way to the MRU
     position with a slice move, so the access path allocates no
     per-line objects.
+
+    :meth:`access` and :meth:`probe` are closures over that flat state,
+    bound once at construction: both simulators call them once or twice
+    per simulated instruction, and the timed hierarchy composes them
+    without a method lookup or an attribute load per access.
     """
+
+    access: Callable[..., bool]
+    probe: Callable[[int], bool]
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
@@ -80,6 +88,65 @@ class Cache:
         self.accesses = 0
         self.misses = 0
         self.writebacks = 0
+        self._bind()
+
+    def _bind(self) -> None:
+        cache = self
+        tags = self._tags
+        dirty = self._dirty
+        assoc = self._assoc
+        shift = self._line_shift
+        # A power-of-two set count indexes by mask; otherwise by modulo.
+        mask = self._set_mask if self._sets_pow2 else None
+        num_sets = self.config.num_sets
+
+        def probe(addr: int) -> bool:
+            """Check residency without updating LRU state or statistics."""
+            line = addr >> shift
+            base = (line & mask if mask is not None else line % num_sets) * assoc
+            return line in tags[base : base + assoc]
+
+        def access(addr: int, is_write: bool = False) -> bool:
+            """Access ``addr``; allocate on miss.  Returns hit status.
+
+            On a miss the LRU victim is evicted (counted as a writeback
+            if dirty) and the new line allocated MRU.
+            """
+            line = addr >> shift
+            base = (line & mask if mask is not None else line % num_sets) * assoc
+            cache.accesses += 1
+            if tags[base] == line:
+                # MRU hit: no reordering needed; by far the common case
+                # in loop-heavy programs, so it skips the set slice.
+                if is_write:
+                    dirty[base] = 1
+                return True
+            end = base + assoc
+            ways = tags[base:end]
+            if line in ways:
+                pos = base + ways.index(line)
+                if pos != base:
+                    # Move the hit way to MRU, shifting the rest down.
+                    d = dirty[pos]
+                    tags[base + 1 : pos + 1] = tags[base:pos]
+                    dirty[base + 1 : pos + 1] = dirty[base:pos]
+                    tags[base] = line
+                    dirty[base] = d
+                if is_write:
+                    dirty[base] = 1
+                return True
+            cache.misses += 1
+            last = end - 1
+            if tags[last] is not None and dirty[last]:
+                cache.writebacks += 1
+            tags[base + 1 : end] = tags[base:last]
+            dirty[base + 1 : end] = dirty[base:last]
+            tags[base] = line
+            dirty[base] = 1 if is_write else 0
+            return False
+
+        self.probe = probe
+        self.access = access
 
     def line_addr(self, addr: int) -> int:
         """Aligned line address containing byte ``addr``."""
@@ -90,63 +157,6 @@ class Cache:
         if self._sets_pow2:
             return line & self._set_mask, line
         return line % self.config.num_sets, line
-
-    def probe(self, addr: int) -> bool:
-        """Check residency without updating LRU state or statistics."""
-        set_index, tag = self._index(addr)
-        base = set_index * self._assoc
-        return tag in self._tags[base : base + self._assoc]
-
-    def access(self, addr: int, is_write: bool = False) -> bool:
-        """Access ``addr``; allocate on miss.  Returns hit status.
-
-        On a miss the LRU victim is evicted (counted as a writeback if
-        dirty) and the new line allocated MRU.  The touch and fill
-        logic is inlined here (rather than calling :meth:`_touch` /
-        :meth:`_fill`) because this method runs once or twice per
-        simulated instruction; the slow-path entry points share the
-        helpers.
-        """
-        line = addr >> self._line_shift
-        if self._sets_pow2:
-            set_index = line & self._set_mask
-        else:
-            set_index = line % self.config.num_sets
-        assoc = self._assoc
-        base = set_index * assoc
-        end = base + assoc
-        tags = self._tags
-        self.accesses += 1
-        if tags[base] == line:
-            # MRU hit: no reordering needed; by far the common case in
-            # loop-heavy programs, so it skips the set slice entirely.
-            if is_write:
-                self._dirty[base] = 1
-            return True
-        ways = tags[base:end]
-        if line in ways:
-            pos = base + ways.index(line)
-            dirty = self._dirty
-            if pos != base:
-                # Move the hit way to MRU, shifting the rest down.
-                d = dirty[pos]
-                tags[base + 1 : pos + 1] = tags[base:pos]
-                dirty[base + 1 : pos + 1] = dirty[base:pos]
-                tags[base] = line
-                dirty[base] = d
-            if is_write:
-                dirty[base] = 1
-            return True
-        self.misses += 1
-        last = end - 1
-        dirty = self._dirty
-        if tags[last] is not None and dirty[last]:
-            self.writebacks += 1
-        tags[base + 1 : end] = tags[base:last]
-        dirty[base + 1 : end] = dirty[base:last]
-        tags[base] = line
-        dirty[base] = 1 if is_write else 0
-        return False
 
     def fill(self, addr: int, *, dirty: bool = False) -> None:
         """Install the line containing ``addr`` (prefetch fill path)."""
@@ -164,25 +174,6 @@ class Cache:
             if tags[pos] == tag:
                 tags[pos:end] = tags[pos + 1 : end] + [None]
                 dirty[pos:end] = dirty[pos + 1 : end] + [0]
-                return True
-        return False
-
-    def _touch(self, addr: int, is_write: bool) -> bool:
-        set_index, tag = self._index(addr)
-        base = set_index * self._assoc
-        tags = self._tags
-        for pos in range(base, base + self._assoc):
-            if tags[pos] == tag:
-                if pos != base:
-                    # Move the hit way to MRU, shifting the rest down.
-                    dirty = self._dirty
-                    d = dirty[pos]
-                    tags[base + 1 : pos + 1] = tags[base:pos]
-                    dirty[base + 1 : pos + 1] = dirty[base:pos]
-                    tags[base] = tag
-                    dirty[base] = d
-                if is_write:
-                    self._dirty[base] = 1
                 return True
         return False
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.memory.bus import Bus
 from repro.memory.cache import Cache, CacheConfig
@@ -142,14 +142,6 @@ class FunctionalHierarchy:
         self.l2.fill(addr)
 
 
-@dataclass
-class _PrefetchStamp:
-    """Timestamps for a line fetched into L2 by a p-thread."""
-
-    request_time: int
-    ready_time: int
-
-
 class CoverageKind(enum.Enum):
     """Classification of a main-thread touch of a p-thread-fetched line."""
 
@@ -181,7 +173,18 @@ class TimedHierarchy:
 
     All methods take the current cycle explicitly; the class holds no
     clock of its own.
+
+    The simulators build one hierarchy per run and call
+    :attr:`mt_access_fast`, :attr:`pt_access_fast` and
+    :attr:`phantom_access_fast` once or twice per simulated
+    instruction.  Those three are closures composed here, once, from
+    the caches', busses' and MSHR file's own bound access paths, with
+    every latency and line size resolved at construction.
     """
+
+    mt_access_fast: Callable[..., Tuple[int, int]]
+    pt_access_fast: Callable[[int, int], Tuple[int, int]]
+    phantom_access_fast: Callable[[int, int], Tuple[int, int]]
 
     def __init__(self, config: HierarchyConfig, perfect_l2: bool = False) -> None:
         self.config = config
@@ -198,8 +201,8 @@ class TimedHierarchy:
             "memory", config.memory_bus_bytes, config.memory_bus_divisor
         )
         # L2 lines fetched by p-threads and not yet touched by the main
-        # thread, keyed by L2 line address.
-        self._pt_lines: Dict[int, _PrefetchStamp] = {}
+        # thread, keyed by L2 line address: (request time, ready time).
+        self._pt_lines: Dict[int, Tuple[int, int]] = {}
         # Fill completion time of lines still in transit from memory.
         # Tag state is updated at request time (so residency checks
         # work), but an access to an in-flight line cannot complete
@@ -215,168 +218,177 @@ class TimedHierarchy:
         self.partial_covered = 0
         self.partial_covered_cycles = 0
         self.evicted_prefetches = 0
-        #: Coverage classification of the most recent ``mt_access_fast``
-        #: (``None`` if the access touched no p-thread-fetched line).
-        self.last_coverage: Optional[CoverageKind] = None
+        self._bind()
 
-    # ------------------------------------------------------------------
-    # main thread
-    # ------------------------------------------------------------------
+    def _bind(self) -> None:
+        """Compose the three access paths (see the class docstring)."""
+        hierarchy = self
+        config = self.config
+        l1_access = self.l1.access
+        l1_probe = self.l1.probe
+        l2_access = self.l2.access
+        l2_probe = self.l2.probe
+        shift = self.l2.config.line_bytes.bit_length() - 1
+        l1_hit = config.l1.hit_latency
+        l2_hit = config.l2.hit_latency
+        mem_latency = config.mem_latency
+        perfect_l2 = self.perfect_l2
+        # Backside transfers move an L1 line; memory transfers an L2 line.
+        backside = self.backside_bus.transfer(config.l1.line_bytes)
+        memory_bus = self.memory_bus.transfer(config.l2.line_bytes)
+        mshr_lookup = self.mshrs.lookup
+        mshr_allocate = self.mshrs.allocate
+        pt_lines = self._pt_lines
+        pt_pop = pt_lines.pop
+        line_ready = self._line_ready
+        ready_get = line_ready.get
+
+        def fetch(line2: int, now: int) -> int:
+            """Fetch ``line2`` from memory into the L2; returns ready
+            time.  Every caller's L2 access has just missed, and that
+            miss already allocated the line in the L2's tag state."""
+            if perfect_l2:
+                return now + l2_hit
+            merged = mshr_lookup(line2, now)
+            if merged is not None:
+                return merged
+            ready = mshr_allocate(line2, now, memory_bus(now + mem_latency))
+            line_ready[line2] = ready
+            if len(line_ready) > 8192:
+                # Pruned in place: the access paths close over the dict.
+                for line in [ln for ln, t in line_ready.items() if t <= now]:
+                    del line_ready[line]
+            return ready
+
+        def mt_access_fast(
+            addr: int, now: int, is_write: bool = False
+        ) -> Tuple[int, int]:
+            """Timed main-thread access at cycle ``now``.
+
+            Returns ``(level, complete)`` as plain ints (level 1/2/3 is
+            the :class:`MemoryLevel` value).  Coverage classification
+            updates the coverage counters.
+            """
+            hierarchy.mt_accesses += 1
+            line2 = addr >> shift << shift
+            stamp = pt_pop(line2, None) if pt_lines else None
+
+            if l1_access(addr, is_write):
+                complete = now + l1_hit
+                pending = ready_get(line2)
+                if pending is not None and pending > complete:
+                    complete = pending
+                return 1, complete
+
+            if l2_access(addr, is_write):
+                # L2 hit.  If a p-thread fetched this line, the
+                # unassisted program would have missed: classify the
+                # coverage.
+                complete = backside(now + l2_hit)
+                pending = ready_get(line2)
+                if pending is not None and pending > complete:
+                    complete = pending
+                if stamp is not None:
+                    request_time, stamp_ready = stamp
+                    if stamp_ready <= now:
+                        hierarchy.full_covered += 1
+                    else:
+                        hierarchy.partial_covered += 1
+                        if now > request_time:
+                            hierarchy.partial_covered_cycles += (
+                                now - request_time
+                            )
+                        if stamp_ready > complete:
+                            complete = stamp_ready
+                return 2, complete
+
+            # L2 miss.
+            hierarchy.mt_l2_misses += 1
+            if stamp is not None:
+                # A p-thread prefetched the line but it was evicted
+                # before the main thread got to it: an early (wasted)
+                # prefetch.
+                hierarchy.evicted_prefetches += 1
+            return 3, fetch(line2, now)
+
+        def pt_access_fast(addr: int, now: int) -> Tuple[int, int]:
+            """Timed p-thread load at cycle ``now``: reads the L1 if the
+            line happens to be resident (without refreshing LRU state)
+            but fills only the L2."""
+            hierarchy.pt_accesses += 1
+            line2 = addr >> shift << shift
+            if l1_probe(addr):
+                level = 1
+                complete = now + l1_hit
+            elif l2_access(addr, False):
+                level = 2
+                complete = backside(now + l2_hit)
+            else:
+                hierarchy.pt_l2_misses += 1
+                complete = fetch(line2, now)
+                # Stamp the line so the main thread's first touch
+                # classifies it.
+                pt_lines[line2] = (now, complete)
+                return 3, complete
+            pending = ready_get(line2)
+            if pending is not None and pending > complete:
+                complete = pending
+            return level, complete
+
+        def phantom_access_fast(addr: int, now: int) -> Tuple[int, int]:
+            """Latency of a load that must not disturb any state.
+
+            Used by the overhead-only validation runs, where p-threads
+            execute "but do not access the data cache (thus do not have
+            the pre-execution effect)": timing reflects residency, but
+            no fill, LRU update, MSHR, bus, or timestamp activity
+            occurs.  Like the real access paths, a hit on a line whose
+            fill is still in flight cannot complete before the fill
+            does; reading that timestamp disturbs nothing.
+            """
+            if l1_probe(addr):
+                level = 1
+                complete = now + l1_hit
+            elif l2_probe(addr):
+                level = 2
+                complete = now + l2_hit
+            else:
+                return 3, now + mem_latency
+            pending = ready_get(addr >> shift << shift)
+            if pending is not None and pending > complete:
+                complete = pending
+            return level, complete
+
+        self.mt_access_fast = mt_access_fast
+        self.pt_access_fast = pt_access_fast
+        self.phantom_access_fast = phantom_access_fast
 
     def mt_access(self, addr: int, now: int, is_write: bool = False) -> AccessOutcome:
-        """Timed main-thread access at cycle ``now``."""
+        """Timed main-thread access at cycle ``now``, with its coverage
+        classification (read off the coverage counters it moved)."""
+        full = self.full_covered
+        partial = self.partial_covered
+        evicted = self.evicted_prefetches
         level, complete = self.mt_access_fast(addr, now, is_write)
-        return AccessOutcome(MemoryLevel(level), complete, self.last_coverage)
-
-    def mt_access_fast(
-        self, addr: int, now: int, is_write: bool = False
-    ) -> Tuple[int, int]:
-        """:meth:`mt_access` without the :class:`AccessOutcome` wrapper.
-
-        Returns ``(level, complete)`` as plain ints — the simulators
-        issue millions of these per run and the dataclass allocation
-        per access dominated the memory path.  Coverage classification
-        is published on :attr:`last_coverage` (and the coverage
-        counters update exactly as before).
-        """
-        self.mt_accesses += 1
-        self.last_coverage = None
-        line2 = self.l2.line_addr(addr)
-        stamp = self._pt_lines.pop(line2, None)
-
-        if self.l1.access(addr, is_write):
-            complete = now + self.config.l1.hit_latency
-            pending = self._line_ready.get(line2)
-            if pending is not None and pending > complete:
-                complete = pending
-            return 1, complete
-
-        if self.l2.access(addr, is_write):
-            # L2 hit.  If a p-thread fetched this line, the unassisted
-            # program would have missed: classify the coverage.
-            complete = now + self._l2_hit_latency(now)
-            pending = self._line_ready.get(line2)
-            if pending is not None and pending > complete:
-                complete = pending
-            if stamp is not None:
-                if stamp.ready_time <= now:
-                    self.last_coverage = CoverageKind.FULL
-                    self.full_covered += 1
-                else:
-                    self.last_coverage = CoverageKind.PARTIAL
-                    self.partial_covered += 1
-                    saved = max(0, now - stamp.request_time)
-                    self.partial_covered_cycles += saved
-                    if stamp.ready_time > complete:
-                        complete = stamp.ready_time
-            return 2, complete
-
-        # L2 miss.
-        self.mt_l2_misses += 1
-        if stamp is not None:
-            # A p-thread prefetched the line but it was evicted before
-            # the main thread got to it: an early (wasted) prefetch.
-            self.last_coverage = CoverageKind.EVICTED
-            self.evicted_prefetches += 1
-        return 3, self._fetch_line(line2, now)
-
-    # ------------------------------------------------------------------
-    # p-threads
-    # ------------------------------------------------------------------
+        coverage = None
+        if self.full_covered != full:
+            coverage = CoverageKind.FULL
+        elif self.partial_covered != partial:
+            coverage = CoverageKind.PARTIAL
+        elif self.evicted_prefetches != evicted:
+            coverage = CoverageKind.EVICTED
+        return AccessOutcome(MemoryLevel(level), complete, coverage)
 
     def pt_access(self, addr: int, now: int) -> AccessOutcome:
-        """Timed p-thread load at cycle ``now``.
-
-        P-thread loads read the L1 if the line happens to be resident
-        (without refreshing LRU state) but fill only the L2.
-        """
+        """Timed p-thread load at cycle ``now`` (see :attr:`pt_access_fast`)."""
         level, complete = self.pt_access_fast(addr, now)
         return AccessOutcome(MemoryLevel(level), complete)
 
-    def pt_access_fast(self, addr: int, now: int) -> Tuple[int, int]:
-        """:meth:`pt_access` returning a plain ``(level, complete)``."""
-        self.pt_accesses += 1
-        line2 = self.l2.line_addr(addr)
-        pending = self._line_ready.get(line2)
-        if self.l1.probe(addr):
-            complete = now + self.config.l1.hit_latency
-            if pending is not None and pending > complete:
-                complete = pending
-            return 1, complete
-        if self.l2.access(addr, is_write=False):
-            complete = now + self._l2_hit_latency(now)
-            if pending is not None and pending > complete:
-                complete = pending
-            return 2, complete
-        self.pt_l2_misses += 1
-        complete = self._fetch_line(line2, now)
-        # Stamp the line so the main thread's first touch classifies it.
-        self._pt_lines[line2] = _PrefetchStamp(request_time=now, ready_time=complete)
-        return 3, complete
-
     def phantom_access(self, addr: int, now: int) -> AccessOutcome:
-        """Latency of a load that must not disturb any state.
-
-        Used by the overhead-only validation runs, where p-threads
-        execute "but do not access the data cache (thus do not have the
-        pre-execution effect)": timing reflects residency, but no fill,
-        LRU update, MSHR, bus, or timestamp activity occurs.
-        """
+        """Latency of a load that disturbs no state (see
+        :attr:`phantom_access_fast`)."""
         level, complete = self.phantom_access_fast(addr, now)
         return AccessOutcome(MemoryLevel(level), complete)
-
-    def phantom_access_fast(self, addr: int, now: int) -> Tuple[int, int]:
-        """:meth:`phantom_access` returning a plain ``(level, complete)``.
-
-        Like the real access paths, a hit on a line whose fill is still
-        in flight cannot complete before the fill does, so the pending
-        :attr:`_line_ready` time clamps the completion.  Reading that
-        timestamp disturbs nothing, which is all the phantom contract
-        requires.
-        """
-        if self.l1.probe(addr):
-            level = 1
-            complete = now + self.config.l1.hit_latency
-        elif self.l2.probe(addr):
-            level = 2
-            complete = now + self.config.l2.hit_latency
-        else:
-            return 3, now + self.config.mem_latency
-        pending = self._line_ready.get(self.l2.line_addr(addr))
-        if pending is not None and pending > complete:
-            complete = pending
-        return level, complete
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-
-    def _l2_hit_latency(self, now: int) -> int:
-        """L2 hit latency including backside bus occupancy."""
-        done = self.backside_bus.request(
-            now + self.config.l2.hit_latency, self.config.l1.line_bytes
-        )
-        return done - now
-
-    def _fetch_line(self, line2: int, now: int) -> int:
-        """Fetch ``line2`` from memory into the L2; returns ready time."""
-        if self.perfect_l2:
-            self.l2.fill(line2)
-            return now + self.config.l2.hit_latency
-        merged = self.mshrs.lookup(line2, now)
-        if merged is not None:
-            return merged
-        bus_done = self.memory_bus.request(
-            now + self.config.mem_latency, self.config.l2.line_bytes
-        )
-        ready = self.mshrs.allocate(line2, now, bus_done)
-        self.l2.fill(line2)
-        self._line_ready[line2] = ready
-        if len(self._line_ready) > 8192:
-            self._line_ready = {
-                line: t for line, t in self._line_ready.items() if t > now
-            }
-        return ready
 
     def unclaimed_prefetches(self) -> int:
         """P-thread-fetched lines never touched by the main thread."""

@@ -11,7 +11,10 @@ times; there is no internal clock.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
+
+#: "No entry outstanding" for the earliest-ready bound.
+_IDLE = 1 << 62
 
 
 class MshrFile:
@@ -19,7 +22,15 @@ class MshrFile:
 
     Args:
         capacity: maximum simultaneously outstanding misses.
+
+    :meth:`lookup` and :meth:`allocate` are closures over the entry
+    dict, bound once at construction.  They share a lower bound on the
+    earliest outstanding ready time, so the expiry scan runs only once
+    ``now`` reaches it — before then no entry can have expired.
     """
+
+    lookup: Callable[[int, int], Optional[int]]
+    allocate: Callable[[int, int, int], int]
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -35,48 +46,67 @@ class MshrFile:
         # only on L2 misses, so this costs one dict update per miss and
         # backs the memory.l2.mshr_occupancy histogram.
         self.occupancy_samples: Dict[int, int] = {}
+        self._bind()
 
-    def _expire(self, now: int) -> None:
-        if self._outstanding:
-            done = [line for line, t in self._outstanding.items() if t <= now]
-            for line in done:
-                del self._outstanding[line]
+    def _bind(self) -> None:
+        mshrs = self
+        capacity = self.capacity
+        outstanding = self._outstanding
+        samples = self.occupancy_samples
+        # Never above the earliest outstanding ready time: inserts lower
+        # it, and only a scan (which sees every entry) raises it.
+        earliest = _IDLE
 
-    def lookup(self, line: int, now: int) -> Optional[int]:
-        """If ``line`` is already in flight at ``now``, return its ready
-        time (a merge); otherwise ``None``."""
-        self._expire(now)
-        ready = self._outstanding.get(line)
-        if ready is not None:
-            self.merges += 1
-        return ready
+        def expire(now: int) -> None:
+            nonlocal earliest
+            if now >= earliest:
+                for line in [ln for ln, t in outstanding.items() if t <= now]:
+                    del outstanding[line]
+                earliest = min(outstanding.values(), default=_IDLE)
 
-    def allocate(self, line: int, now: int, ready: int) -> int:
-        """Allocate an entry for ``line`` completing at ``ready``.
+        def lookup(line: int, now: int) -> Optional[int]:
+            """If ``line`` is already in flight at ``now``, return its
+            ready time (a merge); otherwise ``None``."""
+            if now >= earliest:
+                expire(now)
+            ready = outstanding.get(line)
+            if ready is not None:
+                mshrs.merges += 1
+            return ready
 
-        If all MSHRs are busy the request is delayed until the earliest
-        outstanding miss completes; the (possibly pushed-back) ready
-        time is returned.
-        """
-        self._expire(now)
-        delay = 0
-        if len(self._outstanding) >= self.capacity:
-            earliest = min(self._outstanding.values())
-            delay = max(0, earliest - now)
-            self.full_stalls += 1
-            self._expire(earliest)
-            # Guard against pathological configs: if still full, drop the
-            # oldest entry (it is complete from the requester's view).
-            while len(self._outstanding) >= self.capacity:
-                oldest = min(self._outstanding, key=self._outstanding.get)
-                del self._outstanding[oldest]
-        self.allocations += 1
-        occupancy = len(self._outstanding) + 1
-        self.occupancy_samples[occupancy] = (
-            self.occupancy_samples.get(occupancy, 0) + 1
-        )
-        self._outstanding[line] = ready + delay
-        return ready + delay
+        def allocate(line: int, now: int, ready: int) -> int:
+            """Allocate an entry for ``line`` completing at ``ready``.
+
+            If all MSHRs are busy the request is delayed until the
+            earliest outstanding miss completes; the (possibly
+            pushed-back) ready time is returned.
+            """
+            nonlocal earliest
+            if now >= earliest:
+                expire(now)
+            if len(outstanding) >= capacity:
+                soonest = min(outstanding.values())
+                if soonest > now:
+                    ready += soonest - now
+                mshrs.full_stalls += 1
+                expire(soonest)
+                # Guard against pathological configs: if still full,
+                # drop the oldest entry (it is complete from the
+                # requester's view).
+                while len(outstanding) >= capacity:
+                    oldest = min(outstanding, key=outstanding.__getitem__)
+                    del outstanding[oldest]
+            mshrs.allocations += 1
+            occupancy = len(outstanding) + 1
+            samples[occupancy] = samples.get(occupancy, 0) + 1
+            outstanding[line] = ready
+            if ready < earliest:
+                earliest = ready
+            return ready
+
+        self._expire = expire
+        self.lookup = lookup
+        self.allocate = allocate
 
     def outstanding(self, now: int) -> int:
         """Number of misses in flight at ``now``."""
@@ -84,6 +114,7 @@ class MshrFile:
         return len(self._outstanding)
 
     def reset(self) -> None:
+        # Cleared in place: the bound closures hold these containers.
         self._outstanding.clear()
         self.allocations = 0
         self.merges = 0

@@ -7,7 +7,7 @@ than one-shot CLI runs:
   whose in-memory stage caches (workloads, traces, baselines,
   selections) and the process-wide compile memo behind it stay warm
   across requests, backed by the persistent
-  :class:`~repro.harness.artifacts.ArtifactCache`/``CodeCache``;
+  :class:`~repro.harness.artifacts.ArtifactCache`;
 * a bounded submission queue — when it is full the daemon sheds load
   (HTTP 503 + ``Retry-After``) instead of queueing without bound;
 * worker coroutines that drain the queue in small batches and execute
@@ -19,7 +19,7 @@ than one-shot CLI runs:
 
 Every request carries a soft budget (its own ``budget_seconds`` or the
 server default): the deadline is only consulted between pipeline
-stages, and an expired budget yields a truncated-but-well-formed
+stages and between validation runs, and an expired budget yields a truncated-but-well-formed
 payload rather than an error (see :mod:`repro.serve.protocol`).
 """
 

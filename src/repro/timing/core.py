@@ -51,6 +51,7 @@ from repro.engine.compiler import (
     ENGINE_TIERED,
     TIER_SLICE,
     CompiledBlocks,
+    compile_pthread_body,
     compile_timing,
     discover_blocks,
     register_engine_metrics,
@@ -106,7 +107,9 @@ def _store_queue_put(
 
 
 class _DecodedBody:
-    """Pre-decoded p-thread body for fast repeated execution."""
+    """A static p-thread's body, decoded once per simulator: the arrays
+    of the interpreted body loop, the injection bursts, and (compiled
+    and tiered engines) the body's specialized function."""
 
     __slots__ = (
         "size",
@@ -122,9 +125,12 @@ class _DecodedBody:
         "live_ins",
         "bursts",
         "last_burst_offset",
+        "specialized",
     )
 
-    def __init__(self, pthread: StaticPThread, machine: MachineConfig) -> None:
+    def __init__(
+        self, pthread: StaticPThread, machine: MachineConfig, specialize: bool
+    ) -> None:
         body = pthread.body
         n = body.size
         self.size = n
@@ -171,6 +177,18 @@ class _DecodedBody:
             start += count
             offset += period
         self.last_burst_offset = self.bursts[-1][0] if self.bursts else 0
+        #: ``bind(ctx) -> run(t)`` from :func:`compile_pthread_body`, or
+        #: ``None``: launches then run the interpreted body loop.
+        self.specialized = (
+            compile_pthread_body(
+                body,
+                burst=burst,
+                period=period,
+                forward_latency=machine.store_forward_latency,
+            )
+            if specialize
+            else None
+        )
 
 
 class _TimingState:
@@ -203,6 +221,7 @@ class _TimingState:
         "branch_counts",
         "hinted_pcs",
         "launching",
+        "launch",
         "mode",
         "stats",
         "predictor",
@@ -263,14 +282,14 @@ class TimingSimulator:
         self.schedule: Schedule = [
             (start, end, list(pts)) for start, end, pts in schedule
         ]
+        self.engine = resolve_engine(engine)
         self._decoded_bodies: Dict[int, _DecodedBody] = {}
         for _, _, pts in self.schedule:
             for pthread in pts:
                 if id(pthread) not in self._decoded_bodies:
                     self._decoded_bodies[id(pthread)] = _DecodedBody(
-                        pthread, self.machine
+                        pthread, self.machine, self.engine != ENGINE_INTERP
                     )
-        self.engine = resolve_engine(engine)
         self.last_engine: Optional[str] = None
         self.last_tier: Optional[dict] = None
         self.last_registers: List[int] = []
@@ -441,6 +460,7 @@ class TimingSimulator:
         # writes `stats` directly): [l1 misses, mispredictions,
         # mispredicts covered by hints].
         st.tallies = [0, 0, 0]
+        st.launch = self._bind_launch(st) if st.launching else None
 
         register_engine_metrics()
         compiled = None
@@ -558,7 +578,6 @@ class TimingSimulator:
         branch_arr = decoded.branch
         lat_arr = decoded.latency
 
-        mode = st.mode
         stats = st.stats
         hierarchy = st.hierarchy
         predictor = st.predictor
@@ -577,11 +596,11 @@ class TimingSimulator:
         stolen = st.stolen
         stolen_get = stolen.get
         store_queue = st.store_queue
-        contexts = st.contexts
         branch_hints = st.branch_hints
         branch_counts = st.branch_counts
         hinted_pcs = st.hinted_pcs
         launching = st.launching
+        launch = st.launch
         trig = st.trig
         schedule = self.schedule
 
@@ -809,21 +828,7 @@ class TimingSimulator:
             if launching:
                 waiting = triggers.get(pc)
                 if waiting is not None:
-                    for pthread in waiting:
-                        self._launch(
-                            pthread,
-                            disp,
-                            mode,
-                            contexts,
-                            stolen,
-                            regs,
-                            reg_ready,
-                            mem_load,
-                            hierarchy,
-                            stats,
-                            branch_hints,
-                            branch_counts,
-                        )
+                    launch(waiting, disp)
             # Periodically drop stale stolen-slot entries (in place:
             # the dict is closed over by compiled blocks and p-thread
             # launches, so it must never be rebound).
@@ -890,29 +895,9 @@ class TimingSimulator:
         tier_ups = 0
 
         hierarchy = st.hierarchy
-        mode = st.mode
-        contexts = st.contexts
         stolen = st.stolen
         regs = st.regs
         rdy = st.reg_ready
-        launch_one = self._launch
-
-        def launch(waiting: List[StaticPThread], disp: int) -> None:
-            for pthread in waiting:
-                launch_one(
-                    pthread,
-                    disp,
-                    mode,
-                    contexts,
-                    stolen,
-                    regs,
-                    rdy,
-                    st.mem_load,
-                    hierarchy,
-                    st.stats,
-                    st.branch_hints,
-                    st.branch_counts,
-                )
 
         ctx = {
             "ring": st.retire_ring,
@@ -928,7 +913,7 @@ class TimingSimulator:
             "tallies": st.tallies,
             "stolen": stolen,
             "trig": st.trig,
-            "launch": launch,
+            "launch": st.launch,
             "branch_hints": st.branch_hints,
             "branch_counts": st.branch_counts,
             "observe": (
@@ -947,10 +932,14 @@ class TimingSimulator:
         last_region = len(self.schedule) - 1
         cleanup_mark = 0
         next_scan = TIER_SLICE
+        # The hot scalars stay in locals between blocks; ``st`` is synced
+        # only around hand-overs to the interpreter.
+        pc, executed, fetch_cycle, cap_used, last_retire = (
+            st.pc, st.executed, st.fetch_cycle, st.cap_used, st.last_retire
+        )
 
-        while not st.halted and st.executed < limit:
+        while not st.halted and executed < limit:
             if compiled is not None:
-                executed = st.executed
                 if (
                     launching
                     and executed >= st.region_end
@@ -964,50 +953,47 @@ class TimingSimulator:
                     and st.region_end < cap
                 ):
                     cap = st.region_end
-                if executed > cap - max_len:
-                    # Approaching the region boundary or the run
-                    # limit: single-step across it exactly.
-                    self._interp(st, cap)
-                    continue
-                entry = table_get(st.pc)
-                if entry is not None:
-                    fn, length, index = entry
-                    (
-                        st.pc,
-                        st.executed,
-                        st.fetch_cycle,
-                        st.cap_used,
-                        st.last_retire,
-                    ) = fn(
-                        executed,
-                        st.fetch_cycle,
-                        st.cap_used,
-                        st.last_retire,
-                        regs,
-                        rdy,
+                bound = cap - max_len
+                while executed <= bound:
+                    entry = table_get(pc)
+                    if entry is None:
+                        break
+                    fn, _length, index = entry
+                    pc, executed, fetch_cycle, cap_used, last_retire = fn(
+                        executed, fetch_cycle, cap_used, last_retire, regs, rdy
                     )
                     counts[index] += 1
-                    if st.pc == -1:
-                        st.halted = True
+                    if pc == -1:
                         break
                     # Periodic stale stolen-slot cleanup, mirroring
                     # the interpreter's (cleanup timing is
                     # unobservable: fetch cycles are monotonic).
-                    if st.executed - cleanup_mark >= 0x10000:
-                        cleanup_mark = st.executed
+                    if executed - cleanup_mark >= 0x10000:
+                        cleanup_mark = executed
                         if stolen:
-                            fc = st.fetch_cycle
-                            for cycle in [c for c in stolen if c < fc]:
+                            for cycle in [c for c in stolen if c < fetch_cycle]:
                                 del stolen[cycle]
+                if pc == -1:
+                    st.halted = True
+                    break
+                if executed > bound:
+                    # Approaching the region boundary or the run
+                    # limit: single-step across it exactly.
+                    st.pc, st.executed, st.fetch_cycle, st.cap_used, st.last_retire = (
+                        pc, executed, fetch_cycle, cap_used, last_retire
+                    )
+                    self._interp(st, cap)
+                    pc, executed, fetch_cycle, cap_used, last_retire = (
+                        st.pc, st.executed, st.fetch_cycle, st.cap_used, st.last_retire
+                    )
                     continue
                 # Cold (or mid-block) entry from compiled code: count
                 # it and let the interpreter take over.
-                pc = st.pc
                 if pc in leaders:
                     entry_counts[pc] = entry_counts.get(pc, 0) + 1
 
-            if st.executed >= next_scan:
-                next_scan = st.executed + TIER_SLICE
+            if executed >= next_scan:
+                next_scan = executed + TIER_SLICE
                 fresh = [
                     p
                     for p, c in entry_counts.items()
@@ -1041,14 +1027,22 @@ class TimingSimulator:
                         max_len = compiled.max_len
                         continue
 
-            end = min(st.executed + TIER_SLICE, limit)
+            st.pc, st.executed, st.fetch_cycle, st.cap_used, st.last_retire = (
+                pc, executed, fetch_cycle, cap_used, last_retire
+            )
             self._interp(
                 st,
-                end,
+                min(executed + TIER_SLICE, limit),
                 stop_pcs=table if compiled is not None else None,
                 entry_counts=entry_counts,
             )
+            pc, executed, fetch_cycle, cap_used, last_retire = (
+                st.pc, st.executed, st.fetch_cycle, st.cap_used, st.last_retire
+            )
 
+        st.pc, st.executed, st.fetch_cycle, st.cap_used, st.last_retire = (
+            pc, executed, fetch_cycle, cap_used, last_retire
+        )
         if compiled is not None:
             self._fold_block_counts(compiled, counts, st)
         interp_blocks = sum(
@@ -1082,53 +1076,97 @@ class TimingSimulator:
 
     # ------------------------------------------------------------------
 
-    def _launch(
+    def _bind_launch(
+        self, st: _TimingState
+    ) -> Callable[[List[StaticPThread], int], None]:
+        """The p-thread launch path of one run: ``launch(waiting, t)``
+        launches each p-thread in ``waiting`` at cycle ``t``.
+
+        Bodies run as their specialized functions (see
+        :func:`~repro.engine.compiler.compile_pthread_body`), bound here
+        to this run's state.  The interp engine, and any body with no
+        specialization, runs :meth:`_interpret_body` instead: the
+        interpreted loop is the generated bodies' differential oracle.
+        """
+        mode = st.mode
+        steal = mode.steal
+        execute = mode.execute
+        hinting = mode.prefetch
+        stats = st.stats
+        launches = stats.launches_by_trigger
+        drops = stats.drops_by_trigger
+        contexts = st.contexts
+        stolen = st.stolen
+        hierarchy = st.hierarchy
+        access = (
+            hierarchy.pt_access_fast
+            if mode.prefetch
+            else hierarchy.phantom_access_fast
+        )
+        bodies = self._decoded_bodies
+        ctx = {
+            "regs": st.regs,
+            "rdy": st.reg_ready,
+            "mem_load": st.mem_load,
+            "words": st.memory.raw_words(),
+            "access": access,
+        }
+        runners = {
+            key: body.specialized(ctx)
+            for key, body in bodies.items()
+            if body.specialized is not None
+        }
+        interpret = self._interpret_body
+        post_hint = self._post_branch_hint
+
+        def launch(waiting: List[StaticPThread], t: int) -> None:
+            for pthread in waiting:
+                key = id(pthread)
+                body = bodies[key]
+                trigger = pthread.trigger_pc
+                # Context allocation: drop the launch if none is free.
+                for slot, busy_until in enumerate(contexts):
+                    if busy_until <= t:
+                        break
+                else:
+                    stats.pthread_drops += 1
+                    drops[trigger] = drops.get(trigger, 0) + 1
+                    continue
+                contexts[slot] = t + body.last_burst_offset + 1
+                stats.pthread_launches += 1
+                launches[trigger] = launches.get(trigger, 0) + 1
+                stats.pthread_instructions += body.size
+                if steal:
+                    for offset, _, count in body.bursts:
+                        cycle = t + offset
+                        stolen[cycle] = stolen.get(cycle, 0) + count
+                if not execute:
+                    continue
+                run = runners.get(key)
+                if run is None:
+                    interpret(pthread, body, t, st, access, hinting)
+                    continue
+                outcome = run(t)
+                if outcome is not None and hinting:
+                    post_hint(pthread, body.pcs[-1], outcome, st)
+
+        return launch
+
+    def _interpret_body(
         self,
         pthread: StaticPThread,
+        body: _DecodedBody,
         launch_time: int,
-        mode: SimMode,
-        contexts: List[int],
-        stolen: Dict[int, int],
-        main_regs: List[int],
-        main_ready: List[int],
-        mem_load: Callable[[int], int],
-        hierarchy: TimedHierarchy,
-        stats: SimStats,
-        branch_hints: Optional[Dict[int, Dict[int, Tuple[int, int]]]] = None,
-        branch_counts: Optional[Dict[int, int]] = None,
+        st: _TimingState,
+        access: Callable[[int, int], Tuple[int, int]],
+        hinting: bool,
     ) -> None:
-        """Launch one dynamic p-thread at ``launch_time``."""
-        body = self._decoded_bodies[id(pthread)]
-        trigger = pthread.trigger_pc
-
-        # Context allocation: drop the launch if none is free.
-        slot = -1
-        for index, busy_until in enumerate(contexts):
-            if busy_until <= launch_time:
-                slot = index
-                break
-        if slot < 0:
-            stats.pthread_drops += 1
-            stats.drops_by_trigger[trigger] = (
-                stats.drops_by_trigger.get(trigger, 0) + 1
-            )
-            return
-        contexts[slot] = launch_time + body.last_burst_offset + 1
-        stats.pthread_launches += 1
-        stats.launches_by_trigger[trigger] = (
-            stats.launches_by_trigger.get(trigger, 0) + 1
-        )
-        stats.pthread_instructions += body.size
-
-        if mode.steal:
-            for offset, _, count in body.bursts:
-                cycle = launch_time + offset
-                stolen[cycle] = stolen.get(cycle, 0) + count
-        if not mode.execute:
-            return
-
+        """Execute one dynamic instance of ``body`` launched at
+        ``launch_time``, one instruction at a time."""
         # Seed the body's live-ins from the architectural state at the
         # trigger; availability follows the producer's completion.
+        main_regs = st.regs
+        main_ready = st.reg_ready
         values: Dict[int, int] = {0: 0}
         ready: Dict[int, int] = {0: 0}
         for reg in body.live_ins:
@@ -1147,8 +1185,7 @@ class TimingSimulator:
         imm_arr = body.imm
         alu_arr = body.alu
         lat_arr = body.latency
-        pt_access = hierarchy.pt_access_fast
-        phantom_access = hierarchy.phantom_access_fast
+        mem_load = st.mem_load
         burst_index = 0
         bursts = body.bursts
 
@@ -1186,16 +1223,10 @@ class TimingSimulator:
                     )
                 else:
                     value = mem_load(addr)
-                    if mode.prefetch:
-                        complete = pt_access(addr, issue)[1]
-                    else:
-                        complete = phantom_access(addr, issue)[1]
+                    complete = access(addr, issue)[1]
             elif k == K_BRANCH:
                 # Terminal branch: compute the outcome and post it as a
-                # fetch hint tagged with the dynamic instance it
-                # resolves — `instances_ahead` trigger iterations from
-                # now (minus one when the trigger sits after the branch
-                # in loop order, because that instance already ran).
+                # fetch hint.
                 rs2 = rs2_arr[j]
                 r2 = ready.get(rs2, 0)
                 if r2 > in_ready:
@@ -1203,26 +1234,10 @@ class TimingSimulator:
                 taken = body.branch[j](
                     values.get(rs1, 0), values.get(rs2, 0)
                 )
-                if mode.prefetch and branch_hints is not None:
-                    branch_pc = body.pcs[j]
-                    seen = (
-                        branch_counts.get(branch_pc, 0)
-                        if branch_counts is not None
-                        else 0
+                if hinting:
+                    self._post_branch_hint(
+                        pthread, body.pcs[j], (in_ready + 1, int(taken)), st
                     )
-                    offset = pthread.instances_ahead
-                    if pthread.trigger_pc > branch_pc:
-                        offset -= 1
-                    per_pc = branch_hints.setdefault(branch_pc, {})
-                    per_pc[seen + max(0, offset)] = (
-                        in_ready + 1,
-                        int(taken),
-                    )
-                    if len(per_pc) > 64:
-                        for stale in [
-                            key for key in per_pc if key < seen
-                        ]:
-                            del per_pc[stale]
                 continue
             else:  # K_STORE: private buffer only; never commits
                 rs2 = rs2_arr[j]
@@ -1236,3 +1251,25 @@ class TimingSimulator:
             if rd:
                 values[rd] = value
                 ready[rd] = complete
+
+    @staticmethod
+    def _post_branch_hint(
+        pthread: StaticPThread,
+        branch_pc: int,
+        outcome: Tuple[int, int],
+        st: _TimingState,
+    ) -> None:
+        """Post a branch p-thread's ``(ready cycle, taken)`` outcome as
+        a fetch hint, tagged with the dynamic instance it resolves:
+        ``instances_ahead`` trigger iterations from now (minus one when
+        the trigger sits after the branch in loop order, because that
+        instance already ran)."""
+        seen = st.branch_counts.get(branch_pc, 0)
+        offset = pthread.instances_ahead
+        if pthread.trigger_pc > branch_pc:
+            offset -= 1
+        per_pc = st.branch_hints.setdefault(branch_pc, {})
+        per_pc[seen + max(0, offset)] = outcome
+        if len(per_pc) > 64:
+            for stale in [key for key in per_pc if key < seen]:
+                del per_pc[stale]

@@ -224,3 +224,39 @@ class TestConfigurationKnobs:
             ExperimentConfig(workload="pharmacy", model_bw_seq=2)
         )
         assert result.selection.params.bw_seq == 2
+
+
+class TestSoftDeadline:
+    def test_budget_spent_in_first_validation_run_stops_the_next(
+        self, runner, monkeypatch
+    ):
+        """The budget is checked before every validation simulation, so
+        one that runs out during the first never starts the second."""
+        from repro.serve.protocol import partial_payload
+        from repro.timing.config import OVERHEAD_EXECUTE
+
+        clock = [1000.0]
+        monkeypatch.setattr(experiment.time, "monotonic", lambda: clock[0])
+        modes = []
+        simulate = experiment.TimingSimulator.run
+
+        def run(sim, mode, **kwargs):
+            modes.append(mode.name)
+            stats = simulate(sim, mode, **kwargs)
+            if mode == OVERHEAD_EXECUTE:
+                clock[0] += 60.0  # this run outlasts the budget
+            return stats
+
+        monkeypatch.setattr(experiment.TimingSimulator, "run", run)
+        config = ExperimentConfig(workload="pharmacy", validate=True)
+        with pytest.raises(experiment.ExperimentDeadlineError) as raised:
+            runner.run(config, deadline=clock[0] + 30.0)
+        assert modes[-2:] == ["pre-exec", "overhead-execute"]
+        partial = raised.value.partial
+        assert partial.next_stage == "validation"
+        assert partial.stages_completed == [
+            "trace", "baseline", "selection", "timing"
+        ]
+        payload = partial_payload(partial)
+        assert payload["status"] == "budget_exceeded"
+        assert payload["next_stage"] == "validation"
