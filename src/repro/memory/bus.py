@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Set
 
+from repro.memory.counters import counter
+
 
 class Bus:
     """A serializing transfer resource with slot-based arbitration.
@@ -35,6 +37,8 @@ class Bus:
     read off them; only :attr:`wait_cycles` is counted per request.
     """
 
+    wait_cycles = counter(0, "Cycles requests waited for a free slot.")
+
     def __init__(self, name: str, width_bytes: int, cycles_per_beat: int = 1) -> None:
         if width_bytes < 1 or cycles_per_beat < 1:
             raise ValueError("bus width and clock divisor must be >= 1")
@@ -47,8 +51,7 @@ class Bus:
         self._slots: Dict[int, Set[int]] = {}
         # Bound request paths, per transfer size (see :meth:`transfer`).
         self._requesters: Dict[int, Callable[[int], int]] = {}
-        # statistics
-        self.wait_cycles = 0
+        self._counts = [0]  # wait cycles
 
     @property
     def transfers(self) -> int:
@@ -79,7 +82,7 @@ class Bus:
             return request
         duration = self.transfer_cycles(num_bytes)
         slots = self._slots.setdefault(duration, set())
-        bus = self
+        counts = self._counts
 
         def request(now: int) -> int:
             index = (now if now > 0 else 0) // duration
@@ -88,7 +91,7 @@ class Bus:
             slots.add(index)
             start = index * duration
             if start > now:
-                bus.wait_cycles += start - now
+                counts[0] += start - now
             else:
                 start = now
             return start + duration
@@ -105,4 +108,4 @@ class Bus:
         # Cleared in place: bound request paths hold the slot sets.
         for slots in self._slots.values():
             slots.clear()
-        self.wait_cycles = 0
+        self._counts[0] = 0

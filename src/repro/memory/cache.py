@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
+from repro.memory.counters import counter
+
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -75,6 +77,10 @@ class Cache:
     access: Callable[..., bool]
     probe: Callable[[int], bool]
 
+    accesses = counter(0, "Accesses (probes and fills excluded).")
+    misses = counter(1, "Accesses that missed and allocated.")
+    writebacks = counter(2, "Dirty victims evicted.")
+
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         slots = config.num_sets * config.assoc
@@ -84,14 +90,11 @@ class Cache:
         self._line_shift = config.line_bytes.bit_length() - 1
         self._set_mask = config.num_sets - 1
         self._sets_pow2 = config.num_sets & (config.num_sets - 1) == 0
-        # statistics
-        self.accesses = 0
-        self.misses = 0
-        self.writebacks = 0
+        self._counts = [0, 0, 0]  # accesses, misses, writebacks
         self._bind()
 
     def _bind(self) -> None:
-        cache = self
+        counts = self._counts
         tags = self._tags
         dirty = self._dirty
         assoc = self._assoc
@@ -114,7 +117,7 @@ class Cache:
             """
             line = addr >> shift
             base = (line & mask if mask is not None else line % num_sets) * assoc
-            cache.accesses += 1
+            counts[0] += 1
             if tags[base] == line:
                 # MRU hit: no reordering needed; by far the common case
                 # in loop-heavy programs, so it skips the set slice.
@@ -135,10 +138,10 @@ class Cache:
                 if is_write:
                     dirty[base] = 1
                 return True
-            cache.misses += 1
+            counts[1] += 1
             last = end - 1
             if tags[last] is not None and dirty[last]:
-                cache.writebacks += 1
+                counts[2] += 1
             tags[base + 1 : end] = tags[base:last]
             dirty[base + 1 : end] = dirty[base:last]
             tags[base] = line
@@ -184,7 +187,7 @@ class Cache:
         tags = self._tags
         dirt = self._dirty
         if tags[last] is not None and dirt[last]:
-            self.writebacks += 1
+            self._counts[2] += 1
         tags[base + 1 : last + 1] = tags[base:last]
         dirt[base + 1 : last + 1] = dirt[base:last]
         tags[base] = tag
@@ -201,9 +204,7 @@ class Cache:
         return self.misses / self.accesses
 
     def reset_stats(self) -> None:
-        self.accesses = 0
-        self.misses = 0
-        self.writebacks = 0
+        self._counts[:] = [0, 0, 0]
 
     def publish_metrics(self, registry, prefix: str) -> None:
         """Fold this cache's counters into a metrics registry under

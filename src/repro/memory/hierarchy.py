@@ -26,6 +26,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.memory.bus import Bus
 from repro.memory.cache import Cache, CacheConfig
+from repro.memory.counters import counter
 from repro.memory.mshr import MshrFile
 
 
@@ -186,6 +187,17 @@ class TimedHierarchy:
     pt_access_fast: Callable[[int, int], Tuple[int, int]]
     phantom_access_fast: Callable[[int, int], Tuple[int, int]]
 
+    mt_accesses = counter(0, "Main-thread accesses.")
+    mt_l2_misses = counter(1, "Main-thread L2 misses left after coverage.")
+    pt_accesses = counter(2, "P-thread loads.")
+    pt_l2_misses = counter(3, "P-thread loads that missed in the L2.")
+    full_covered = counter(4, "Misses covered by a line already filled.")
+    partial_covered = counter(5, "Misses covered by a fill in flight.")
+    partial_covered_cycles = counter(
+        6, "Cycles partial coverage saved (request to main-thread use)."
+    )
+    evicted_prefetches = counter(7, "Prefetched lines evicted before use.")
+
     def __init__(self, config: HierarchyConfig, perfect_l2: bool = False) -> None:
         self.config = config
         #: Perfect-L2 mode: fetches from memory complete in an L2 hit
@@ -209,20 +221,13 @@ class TimedHierarchy:
         # before the fill does — without this, back-to-back accesses to
         # one missing line would break miss serialization entirely.
         self._line_ready: Dict[int, int] = {}
-        # statistics
-        self.mt_accesses = 0
-        self.mt_l2_misses = 0
-        self.pt_accesses = 0
-        self.pt_l2_misses = 0
-        self.full_covered = 0
-        self.partial_covered = 0
-        self.partial_covered_cycles = 0
-        self.evicted_prefetches = 0
+        # Indexed as the counter attributes above declare.
+        self._counts = [0] * 8
         self._bind()
 
     def _bind(self) -> None:
         """Compose the three access paths (see the class docstring)."""
-        hierarchy = self
+        counts = self._counts
         config = self.config
         l1_access = self.l1.access
         l1_probe = self.l1.probe
@@ -269,7 +274,7 @@ class TimedHierarchy:
             the :class:`MemoryLevel` value).  Coverage classification
             updates the coverage counters.
             """
-            hierarchy.mt_accesses += 1
+            counts[0] += 1  # mt_accesses
             line2 = addr >> shift << shift
             stamp = pt_pop(line2, None) if pt_lines else None
 
@@ -291,31 +296,29 @@ class TimedHierarchy:
                 if stamp is not None:
                     request_time, stamp_ready = stamp
                     if stamp_ready <= now:
-                        hierarchy.full_covered += 1
+                        counts[4] += 1  # full_covered
                     else:
-                        hierarchy.partial_covered += 1
+                        counts[5] += 1  # partial_covered
                         if now > request_time:
-                            hierarchy.partial_covered_cycles += (
-                                now - request_time
-                            )
+                            counts[6] += now - request_time
                         if stamp_ready > complete:
                             complete = stamp_ready
                 return 2, complete
 
             # L2 miss.
-            hierarchy.mt_l2_misses += 1
+            counts[1] += 1  # mt_l2_misses
             if stamp is not None:
                 # A p-thread prefetched the line but it was evicted
                 # before the main thread got to it: an early (wasted)
                 # prefetch.
-                hierarchy.evicted_prefetches += 1
+                counts[7] += 1  # evicted_prefetches
             return 3, fetch(line2, now)
 
         def pt_access_fast(addr: int, now: int) -> Tuple[int, int]:
             """Timed p-thread load at cycle ``now``: reads the L1 if the
             line happens to be resident (without refreshing LRU state)
             but fills only the L2."""
-            hierarchy.pt_accesses += 1
+            counts[2] += 1  # pt_accesses
             line2 = addr >> shift << shift
             if l1_probe(addr):
                 level = 1
@@ -324,7 +327,7 @@ class TimedHierarchy:
                 level = 2
                 complete = backside(now + l2_hit)
             else:
-                hierarchy.pt_l2_misses += 1
+                counts[3] += 1  # pt_l2_misses
                 complete = fetch(line2, now)
                 # Stamp the line so the main thread's first touch
                 # classifies it.

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
+from repro.memory.counters import counter
+
 #: "No entry outstanding" for the earliest-ready bound.
 _IDLE = 1 << 62
 
@@ -32,15 +34,16 @@ class MshrFile:
     lookup: Callable[[int, int], Optional[int]]
     allocate: Callable[[int, int, int], int]
 
+    allocations = counter(0, "Entries allocated.")
+    merges = counter(1, "Lookups that found the line in flight.")
+    full_stalls = counter(2, "Allocations delayed by a full file.")
+
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("MSHR capacity must be >= 1")
         self.capacity = capacity
         self._outstanding: Dict[int, int] = {}  # line addr -> ready time
-        # statistics
-        self.allocations = 0
-        self.merges = 0
-        self.full_stalls = 0
+        self._counts = [0, 0, 0]  # allocations, merges, full stalls
         # Occupancy (entries in flight, including the new one) sampled
         # at each allocation: occupancy -> count.  Allocations happen
         # only on L2 misses, so this costs one dict update per miss and
@@ -49,7 +52,7 @@ class MshrFile:
         self._bind()
 
     def _bind(self) -> None:
-        mshrs = self
+        counts = self._counts
         capacity = self.capacity
         outstanding = self._outstanding
         samples = self.occupancy_samples
@@ -71,7 +74,7 @@ class MshrFile:
                 expire(now)
             ready = outstanding.get(line)
             if ready is not None:
-                mshrs.merges += 1
+                counts[1] += 1
             return ready
 
         def allocate(line: int, now: int, ready: int) -> int:
@@ -88,7 +91,7 @@ class MshrFile:
                 soonest = min(outstanding.values())
                 if soonest > now:
                     ready += soonest - now
-                mshrs.full_stalls += 1
+                counts[2] += 1
                 expire(soonest)
                 # Guard against pathological configs: if still full,
                 # drop the oldest entry (it is complete from the
@@ -96,7 +99,7 @@ class MshrFile:
                 while len(outstanding) >= capacity:
                     oldest = min(outstanding, key=outstanding.__getitem__)
                     del outstanding[oldest]
-            mshrs.allocations += 1
+            counts[0] += 1
             occupancy = len(outstanding) + 1
             samples[occupancy] = samples.get(occupancy, 0) + 1
             outstanding[line] = ready
@@ -116,7 +119,5 @@ class MshrFile:
     def reset(self) -> None:
         # Cleared in place: the bound closures hold these containers.
         self._outstanding.clear()
-        self.allocations = 0
-        self.merges = 0
-        self.full_stalls = 0
+        self._counts[:] = [0, 0, 0]
         self.occupancy_samples.clear()

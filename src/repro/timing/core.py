@@ -36,7 +36,9 @@ the same dispatcher with every block hot at entry.  The dispatcher
 leans on the interpreter for cold blocks, block tails, computed-jump
 entries, and the instructions around schedule region boundaries
 (which are dynamic instruction counts, not PCs, so compiled blocks
-cannot observe them).
+cannot observe them).  P-thread bodies split the same way: the
+compiled and tiered engines run each static body as one generated
+function, and the interp engine runs the interpreted body loop.
 """
 
 from __future__ import annotations
@@ -1091,12 +1093,14 @@ class TimingSimulator:
         mode = st.mode
         steal = mode.steal
         execute = mode.execute
-        hinting = mode.prefetch
         stats = st.stats
         launches = stats.launches_by_trigger
         drops = stats.drops_by_trigger
         contexts = st.contexts
         stolen = st.stolen
+        regs = st.regs
+        ready = st.reg_ready
+        mem_load = st.mem_load
         hierarchy = st.hierarchy
         access = (
             hierarchy.pt_access_fast
@@ -1105,9 +1109,9 @@ class TimingSimulator:
         )
         bodies = self._decoded_bodies
         ctx = {
-            "regs": st.regs,
-            "rdy": st.reg_ready,
-            "mem_load": st.mem_load,
+            "regs": regs,
+            "rdy": ready,
+            "mem_load": mem_load,
             "words": st.memory.raw_words(),
             "access": access,
         }
@@ -1117,8 +1121,33 @@ class TimingSimulator:
             if body.specialized is not None
         }
         interpret = self._interpret_body
-        post_hint = self._post_branch_hint
+        branch_counts = st.branch_counts
+        branch_hints = st.branch_hints
 
+        def post_hint(
+            pthread: StaticPThread, branch_pc: int, outcome: Tuple[int, int]
+        ) -> None:
+            """Post a branch p-thread's ``(ready cycle, taken)`` outcome
+            as a fetch hint, tagged with the dynamic instance it
+            resolves: ``instances_ahead`` trigger iterations from now
+            (minus one when the trigger sits after the branch in loop
+            order, because that instance already ran)."""
+            seen = branch_counts.get(branch_pc, 0)
+            offset = pthread.instances_ahead
+            if pthread.trigger_pc > branch_pc:
+                offset -= 1
+            per_pc = branch_hints.setdefault(branch_pc, {})
+            per_pc[seen + max(0, offset)] = outcome
+            if len(per_pc) > 64:
+                for stale in [key for key in per_pc if key < seen]:
+                    del per_pc[stale]
+
+        # Only prefetching modes post hints.
+        post = post_hint if mode.prefetch else None
+
+        # The closure holds what it needs, never ``st``: ``st.launch``
+        # refers to it, and a cycle would keep the run's whole state
+        # alive until the cyclic collector runs.
         def launch(waiting: List[StaticPThread], t: int) -> None:
             for pthread in waiting:
                 key = id(pthread)
@@ -1144,11 +1173,13 @@ class TimingSimulator:
                     continue
                 run = runners.get(key)
                 if run is None:
-                    interpret(pthread, body, t, st, access, hinting)
+                    interpret(
+                        pthread, body, t, regs, ready, mem_load, access, post
+                    )
                     continue
                 outcome = run(t)
-                if outcome is not None and hinting:
-                    post_hint(pthread, body.pcs[-1], outcome, st)
+                if outcome is not None and post is not None:
+                    post(pthread, body.pcs[-1], outcome)
 
         return launch
 
@@ -1157,16 +1188,17 @@ class TimingSimulator:
         pthread: StaticPThread,
         body: _DecodedBody,
         launch_time: int,
-        st: _TimingState,
+        main_regs: List[int],
+        main_ready: List[int],
+        mem_load: Callable[[int], int],
         access: Callable[[int, int], Tuple[int, int]],
-        hinting: bool,
+        post: Optional[Callable[[StaticPThread, int, Tuple[int, int]], None]],
     ) -> None:
         """Execute one dynamic instance of ``body`` launched at
-        ``launch_time``, one instruction at a time."""
+        ``launch_time``, one instruction at a time; ``post`` (when
+        given) posts a terminal branch's outcome as a fetch hint."""
         # Seed the body's live-ins from the architectural state at the
         # trigger; availability follows the producer's completion.
-        main_regs = st.regs
-        main_ready = st.reg_ready
         values: Dict[int, int] = {0: 0}
         ready: Dict[int, int] = {0: 0}
         for reg in body.live_ins:
@@ -1185,7 +1217,6 @@ class TimingSimulator:
         imm_arr = body.imm
         alu_arr = body.alu
         lat_arr = body.latency
-        mem_load = st.mem_load
         burst_index = 0
         bursts = body.bursts
 
@@ -1234,10 +1265,8 @@ class TimingSimulator:
                 taken = body.branch[j](
                     values.get(rs1, 0), values.get(rs2, 0)
                 )
-                if hinting:
-                    self._post_branch_hint(
-                        pthread, body.pcs[j], (in_ready + 1, int(taken)), st
-                    )
+                if post is not None:
+                    post(pthread, body.pcs[j], (in_ready + 1, int(taken)))
                 continue
             else:  # K_STORE: private buffer only; never commits
                 rs2 = rs2_arr[j]
@@ -1251,25 +1280,3 @@ class TimingSimulator:
             if rd:
                 values[rd] = value
                 ready[rd] = complete
-
-    @staticmethod
-    def _post_branch_hint(
-        pthread: StaticPThread,
-        branch_pc: int,
-        outcome: Tuple[int, int],
-        st: _TimingState,
-    ) -> None:
-        """Post a branch p-thread's ``(ready cycle, taken)`` outcome as
-        a fetch hint, tagged with the dynamic instance it resolves:
-        ``instances_ahead`` trigger iterations from now (minus one when
-        the trigger sits after the branch in loop order, because that
-        instance already ran)."""
-        seen = st.branch_counts.get(branch_pc, 0)
-        offset = pthread.instances_ahead
-        if pthread.trigger_pc > branch_pc:
-            offset -= 1
-        per_pc = st.branch_hints.setdefault(branch_pc, {})
-        per_pc[seen + max(0, offset)] = outcome
-        if len(per_pc) > 64:
-            for stale in [key for key in per_pc if key < seen]:
-                del per_pc[stale]

@@ -1,5 +1,7 @@
 """Tests for the pre-execution runtime inside the timing simulator."""
 
+import gc
+
 import pytest
 
 from repro.isa import DataImage, assemble
@@ -256,3 +258,22 @@ class TestSchedules:
                 pthreads=[stride_pthread()],
                 schedule=[(0, 10, [])],
             )
+
+
+class TestRunLifetime:
+    @pytest.mark.parametrize("engine", ["interp", "tiered"])
+    def test_run_leaves_no_cyclic_garbage(self, program, tiny_hierarchy, engine):
+        """Reference counting alone frees a finished run.  A cycle
+        through the bound access closures would keep the hierarchy (its
+        bus slots and in-flight lines) and the run's state alive until
+        the cyclic collector ran, raising peak memory."""
+        gc.collect()
+        gc.disable()
+        try:
+            TimingSimulator(
+                program, tiny_hierarchy, pthreads=[stride_pthread()],
+                engine=engine,
+            ).run(PRE_EXECUTION)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
