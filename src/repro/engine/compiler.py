@@ -50,6 +50,15 @@ simulation time).  Both simulators treat ``None`` as "run the
 interpreter"; a computed ``jr`` landing mid-block is handled at run
 time by interpreting until the next leader, so it never needs a
 whole-program fallback.
+
+P-thread bodies
+---------------
+
+:func:`compile_pthread_body` applies the same templates and the same
+two-stage binding to one static p-thread body, which is straight-line
+code by construction: one function per body, registers in locals,
+burst injection offsets as constants.  A body it cannot specialize
+returns ``None`` and keeps the timing core's interpreted body loop.
 """
 
 from __future__ import annotations
@@ -59,7 +68,16 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.engine.decode import (
     DecodedProgram,
@@ -1122,8 +1140,9 @@ def compile_pthread_body(
 def _compile_body(key: Tuple) -> Optional[Callable]:
     instructions, live_ins, burst, period, forward_latency = key
     n = len(instructions)
-    # Register -> (value expr, ready expr); unseeded registers read 0.
-    state: Dict[int, Tuple[str, str]] = {0: ("0", "0")}
+    # Register -> (value expr, ready expr); a register with no seed and
+    # no definition yet reads 0, ready at cycle 0.
+    state: Dict[int, Tuple[str, str]] = {}
     lines = [
         "def _bind(ctx):",
         "    regs = ctx['regs']",
@@ -1135,12 +1154,10 @@ def _compile_body(key: Tuple) -> Optional[Callable]:
     ]
     emit = lines.append
     for reg in live_ins:
-        if reg < NUM_REGS:
+        if reg < NUM_REGS:  # virtual registers have no seed
             emit(f"        v{reg} = regs[{reg}]")
             emit(f"        r{reg} = rdy[{reg}]")
             state[reg] = (f"v{reg}", f"r{reg}")
-        else:  # virtual register with no seed: reads as zero
-            state[reg] = ("0", "0")
     if any(opinfo(op).fmt is Format.STORE for op, *_ in instructions):
         emit("        sb = {}")
     stored = False
@@ -1184,6 +1201,7 @@ def _compile_body(key: Tuple) -> Optional[Callable]:
                     emit(f"            c = (d if d > s else s) + {forward_latency}")
                     emit("        else:")
                     indent += "    "
+                # The shared emitter writes at block-body indentation.
                 load_lines: List[str] = []
                 _emit_mem_load(rd if live else 0, load_lines)
                 lines.extend(indent + line[8:] for line in load_lines)

@@ -22,7 +22,6 @@ from repro.isa import DataImage, assemble
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import ALIASES
-from repro.memory import CacheConfig, HierarchyConfig
 from repro.model.params import ModelParams
 from repro.pthreads.body import VIRTUAL_REG_BASE, PThreadBody
 from repro.pthreads.pthread import PThreadPrediction, StaticPThread
@@ -185,14 +184,6 @@ done:
     halt
 """
 
-JR_HIERARCHY = HierarchyConfig(
-    l1=CacheConfig(name="L1D", size_bytes=1024, line_bytes=32, assoc=2, hit_latency=2),
-    l2=CacheConfig(name="L2", size_bytes=4096, line_bytes=64, assoc=4, hit_latency=6),
-    mem_latency=70,
-    mshr_entries=8,
-)
-
-
 def _jr_program():
     labels = assemble(JR_SOURCE).labels
     data = DataImage()
@@ -258,13 +249,13 @@ def _jr_pthreads(program):
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.name)
-def test_jump_table_program_bit_identical(mode):
+def test_jump_table_program_bit_identical(mode, tiny_hierarchy):
     program = _jr_program()
     pthreads = _jr_pthreads(program)
     stats = {}
     for engine in (ENGINE_INTERP, ENGINE_COMPILED, ENGINE_TIERED):
         sim = TimingSimulator(
-            program, JR_HIERARCHY, pthreads=pthreads, engine=engine
+            program, tiny_hierarchy, pthreads=pthreads, engine=engine
         )
         stats[engine] = sim.run(mode).to_dict()
         assert sim.last_engine == engine
